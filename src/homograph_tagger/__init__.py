@@ -40,22 +40,13 @@ from .pipeline import (
     SenseTaggedToken,
     TaggedToken,
     TokenStatus,
-    baseline_pos_assign,
     disambiguate_token,
     lookup_key,
     read_corpus,
     render_output,
     status_counts,
     tag_document,
-    write_output,
 )
-from .tagmap import (
-    DEFAULT_OPEN_CLASS,
-    TagMapping,
-    default_tagmap,
-    is_open_class,
-    load_tagmap,
-    map_tag,
-)
+from .tagmap import DEFAULT_OPEN_CLASS, TagMapping, default_tagmap, load_tagmap
 
 __version__ = "0.1.0"

@@ -1,15 +1,17 @@
 """Command-line interface: validate, analyze, tag and eval subcommands.
 
-Exit codes: 0 on success, 1 on a data error (malformed lexicon,
-vocabulary, tag map or corpus, or failed evaluation preconditions),
-2 on a usage or I/O error. Diagnostics go to stderr; data goes to
-stdout or to the chosen output paths.
+Each subcommand loads what it needs, does its work and writes its
+result; failures are reported in one place, `_Main.invoke`. Exit
+codes: 0 on success, 1 on a data error (malformed or undecodable
+lexicon, vocabulary, tag map or corpus, or failed evaluation
+preconditions), 2 on a usage or I/O error. Diagnostics go to stderr;
+data goes to stdout or to the chosen output path. Input files may
+start with a UTF-8 byte order mark, which is ignored.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -25,142 +27,55 @@ from .lexicon import (
 from .pipeline import TokenStatus, read_corpus, render_output, status_counts, tag_document
 from .tagmap import default_tagmap, load_tagmap
 
-EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    """Option bundle shared by the subcommands."""
+class _Main(click.Group):
+    """The command group; turns every data or I/O failure into one `error:` line."""
 
-    lexicon_path: str
-    vocabulary_path: str | None = None
-    tagmap_path: str | None = None
-    corpus_path: str | None = None
-    output_path: str | None = None
-    report_path: str | None = None
-    strict: bool = True
-    skip_proper: bool = False
-    report_format: str = "text"
-
-
-def _fail(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_DATA_ERROR if isinstance(exc, TaggerDataError) else EXIT_USAGE_ERROR
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (TaggerDataError, UnicodeDecodeError) as exc:
+            code, message = EXIT_DATA_ERROR, exc
+        except OSError as exc:
+            code, message = EXIT_USAGE_ERROR, exc
+        print(f"error: {message}", file=sys.stderr)
+        ctx.exit(code)
 
 
-def _load_resources(config: RunConfig):
-    vocabulary = (
-        load_vocabulary(config.vocabulary_path)
-        if config.vocabulary_path
-        else default_vocabulary()
-    )
-    lexicon = load_lexicon(config.lexicon_path, vocabulary)
-    mapping = (
-        load_tagmap(config.tagmap_path, vocabulary)
-        if config.tagmap_path
-        else default_tagmap(vocabulary)
-    )
-    return lexicon, mapping
+def _load_lexicon(lexicon_path, vocabulary_path):
+    vocabulary = load_vocabulary(vocabulary_path) if vocabulary_path else default_vocabulary()
+    return load_lexicon(lexicon_path, vocabulary)
 
 
-def _tag_corpus(config: RunConfig):
-    lexicon, mapping = _load_resources(config)
-    documents = read_corpus(config.corpus_path)
+def _load_tagmap(tagmap_path, vocabulary):
+    return load_tagmap(tagmap_path, vocabulary) if tagmap_path else default_tagmap(vocabulary)
+
+
+def _tag_corpus(lexicon_path, vocabulary_path, tagmap_path, corpus_path, lenient, skip_proper):
+    lexicon = _load_lexicon(lexicon_path, vocabulary_path)
+    mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
+    documents = read_corpus(corpus_path)
     results = []
     for document in documents:
         results.extend(
-            tag_document(
-                lexicon,
-                mapping,
-                document,
-                strict=config.strict,
-                skip_proper=config.skip_proper,
-            )
+            tag_document(lexicon, mapping, document, strict=not lenient, skip_proper=skip_proper)
         )
     return lexicon, documents, results
 
 
-def cmd_validate(config: RunConfig) -> int:
-    """Exit 0 iff the lexicon, vocabulary and tag map all load cleanly."""
-    try:
-        lexicon, mapping = _load_resources(config)
-    except (TaggerDataError, OSError) as exc:
-        return _fail(exc)
-    print(
-        f"lexicon ok: {len(lexicon)} word types; tag map ok: {len(mapping)} fine tags",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+def _write(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    """Print the disambiguation taxonomy report for a lexicon."""
-    try:
-        vocabulary = (
-            load_vocabulary(config.vocabulary_path)
-            if config.vocabulary_path
-            else default_vocabulary()
-        )
-        lexicon = load_lexicon(config.lexicon_path, vocabulary)
-        report = analyze_lexicon(lexicon)
-    except (TaggerDataError, OSError) as exc:
-        return _fail(exc)
-    sys.stdout.write(render_taxonomy(report, config.report_format))
-    return EXIT_OK
-
-
-def cmd_tag(config: RunConfig) -> int:
-    """Tag a corpus and write the output file (or stdout)."""
-    try:
-        _, documents, results = _tag_corpus(config)
-        text = render_output(results)
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (TaggerDataError, OSError) as exc:
-        return _fail(exc)
-    counts = status_counts(results)
-    print(
-        f"tagged {len(results)} tokens in {len(documents)} documents:"
-        f" {counts[TokenStatus.MATCHED]} matched,"
-        f" {counts[TokenStatus.FALLBACK]} fallback,"
-        f" {counts[TokenStatus.UNKNOWN_WORD]} unknown,"
-        f" {counts[TokenStatus.CLOSED_CLASS]} closed-class",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
-def cmd_eval(config: RunConfig) -> int:
-    """Tag a gold-annotated corpus and print the evaluation report."""
-    try:
-        lexicon, documents, results = _tag_corpus(config)
-        gold = [token.gold_homograph_id for doc in documents for token in doc.tokens]
-        if all(g is None for g in gold):
-            raise EvaluationError(
-                f"{config.corpus_path}: corpus carries no gold homograph annotations"
-            )
-        report = evaluate(lexicon, results, gold)
-        text = render_report(report, config.report_format)
-        if config.report_path:
-            with open(config.report_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (TaggerDataError, OSError) as exc:
-        return _fail(exc)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# click wiring
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Lexicon-driven homograph tagging from part-of-speech tags."""
 
@@ -207,12 +122,12 @@ _report_format_option = click.option(
 @_tagmap_option
 def validate(lexicon_path, vocabulary_path, tagmap_path):
     """Check that a lexicon (and optional vocabulary and tag map) load cleanly."""
-    config = RunConfig(
-        lexicon_path=lexicon_path,
-        vocabulary_path=vocabulary_path,
-        tagmap_path=tagmap_path,
+    lexicon = _load_lexicon(lexicon_path, vocabulary_path)
+    mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
+    print(
+        f"lexicon ok: {len(lexicon)} word types; tag map ok: {len(mapping)} fine tags",
+        file=sys.stderr,
     )
-    sys.exit(cmd_validate(config))
 
 
 @main.command()
@@ -221,12 +136,8 @@ def validate(lexicon_path, vocabulary_path, tagmap_path):
 @_report_format_option
 def analyze(lexicon_path, vocabulary_path, report_format):
     """Classify every word type and print the taxonomy report."""
-    config = RunConfig(
-        lexicon_path=lexicon_path,
-        vocabulary_path=vocabulary_path,
-        report_format=report_format,
-    )
-    sys.exit(cmd_analyze(config))
+    report = analyze_lexicon(_load_lexicon(lexicon_path, vocabulary_path))
+    sys.stdout.write(render_taxonomy(report, report_format))
 
 
 @main.command()
@@ -239,16 +150,20 @@ def analyze(lexicon_path, vocabulary_path, report_format):
 @_skip_proper_option
 def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, lenient, skip_proper):
     """Assign a homograph to every token of a POS-tagged corpus."""
-    config = RunConfig(
-        lexicon_path=lexicon_path,
-        vocabulary_path=vocabulary_path,
-        tagmap_path=tagmap_path,
-        corpus_path=corpus_path,
-        output_path=output_path,
-        strict=not lenient,
-        skip_proper=skip_proper,
+    _, documents, results = _tag_corpus(
+        lexicon_path, vocabulary_path, tagmap_path, corpus_path, lenient, skip_proper
     )
-    sys.exit(cmd_tag(config))
+    # rendered in full before the file is opened, so a failed run leaves no file
+    _write(render_output(results), output_path)
+    counts = status_counts(results)
+    print(
+        f"tagged {len(results)} tokens in {len(documents)} documents:"
+        f" {counts[TokenStatus.MATCHED]} matched,"
+        f" {counts[TokenStatus.FALLBACK]} fallback,"
+        f" {counts[TokenStatus.UNKNOWN_WORD]} unknown,"
+        f" {counts[TokenStatus.CLOSED_CLASS]} closed-class",
+        file=sys.stderr,
+    )
 
 
 @main.command(name="eval")
@@ -270,14 +185,11 @@ def eval_command(
     lexicon_path, vocabulary_path, tagmap_path, corpus_path, report_path, report_format, lenient, skip_proper
 ):
     """Tag a gold-annotated corpus and score the assignments."""
-    config = RunConfig(
-        lexicon_path=lexicon_path,
-        vocabulary_path=vocabulary_path,
-        tagmap_path=tagmap_path,
-        corpus_path=corpus_path,
-        report_path=report_path,
-        report_format=report_format,
-        strict=not lenient,
-        skip_proper=skip_proper,
+    lexicon, documents, results = _tag_corpus(
+        lexicon_path, vocabulary_path, tagmap_path, corpus_path, lenient, skip_proper
     )
-    sys.exit(cmd_eval(config))
+    gold = [token.gold_homograph_id for doc in documents for token in doc.tokens]
+    if all(g is None for g in gold):
+        raise EvaluationError(f"{corpus_path}: corpus carries no gold homograph annotations")
+    report = evaluate(lexicon, results, gold)
+    _write(render_report(report, report_format), report_path)

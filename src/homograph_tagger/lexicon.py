@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import LexiconError, VocabularyError
-from .util import pct_of
+from .util import fmt_pct, pct_of
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -50,7 +50,7 @@ def default_vocabulary() -> tuple[str, ...]:
 
 def load_vocabulary(path: str | Path) -> tuple[str, ...]:
     """Load a vocabulary file: one coarse tag per line, '#' comments allowed."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return _parse_vocabulary(fh.read().splitlines(), str(path))
 
 
@@ -105,10 +105,6 @@ class Homograph:
     homograph_id: int
     pos: tuple[str, ...]
     senses: tuple[SenseEntry, ...]
-
-    @property
-    def pos_set(self) -> frozenset[str]:
-        return frozenset(self.pos)
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     source = str(path)
     entries: list[WordTypeEntry] = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -260,14 +256,19 @@ def classify_word_type(entry: WordTypeEntry) -> DisambCategory:
     a mixture means some tags decide the homograph and some do not
     (possible). Word types with one homograph are trivial.
     """
-    if len(entry.homographs) == 1:
-        return DisambCategory.MONOHOMOGRAPHIC
+    return _classify(entry)[0]
+
+
+def _classify(entry: WordTypeEntry) -> tuple[DisambCategory, Counter[str]]:
+    """The entry's category and its per-tag homograph counts."""
     counts = Counter(tag for h in entry.homographs for tag in h.pos)
+    if len(entry.homographs) == 1:
+        return DisambCategory.MONOHOMOGRAPHIC, counts
     if max(counts.values()) <= 1:
-        return DisambCategory.GUARANTEED
+        return DisambCategory.GUARANTEED, counts
     if min(counts.values()) >= 2:
-        return DisambCategory.NO_DISAMBIGUATION
-    return DisambCategory.POSSIBLE
+        return DisambCategory.NO_DISAMBIGUATION, counts
+    return DisambCategory.POSSIBLE, counts
 
 
 @dataclass(frozen=True)
@@ -308,15 +309,13 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
     n_polyhomographic = 0
     collisions: Counter[str] = Counter()
     for entry in lexicon.entries:
-        by_category[classify_word_type(entry)] += 1
+        category, tag_counts = _classify(entry)
+        by_category[category] += 1
         if entry.sense_count() >= 2:
             n_polysemous += 1
         if entry.polyhomographic:
             n_polyhomographic += 1
-        tag_counts = Counter(tag for h in entry.homographs for tag in h.pos)
-        for tag, count in tag_counts.items():
-            if count >= 2:
-                collisions[tag] += 1
+        collisions.update(tag for tag, count in tag_counts.items() if count >= 2)
     n = len(lexicon.entries)
     n_mono = by_category[DisambCategory.MONOHOMOGRAPHIC]
     n_guaranteed = by_category[DisambCategory.GUARANTEED]
@@ -353,25 +352,28 @@ def render_taxonomy(report: TaxonomyReport, fmt: str = "text") -> str:
         return json.dumps(asdict(report)) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-
-    def pct(value: float | None) -> str:
-        return "n/a" if value is None else f"{value:.1f}%"
-
+    # the report holds percentages and fmt_pct takes fractions; both are
+    # None when the lexicon has no polyhomographic word types
+    guaranteed_of_poly = possible_of_poly = None
+    if report.n_polyhomographic:
+        guaranteed_of_poly = report.guaranteed_pct_of_polyhomographic / 100
+        possible_of_poly = report.possible_pct_of_polyhomographic / 100
     lines = [
         f"word types:      {report.n_word_types}",
-        f"polysemous:      {report.n_polysemous} ({pct(report.polysemous_pct)})",
-        f"polyhomographic: {report.n_polyhomographic} ({pct(report.polyhomographic_pct)})",
+        f"polysemous:      {report.n_polysemous} ({fmt_pct(report.polysemous_pct / 100)})",
+        f"polyhomographic: {report.n_polyhomographic}"
+        f" ({fmt_pct(report.polyhomographic_pct / 100)})",
         "categories:",
         f"  monohomographic:   {report.n_monohomographic}",
         f"  guaranteed:        {report.n_guaranteed}",
         f"  possible:          {report.n_possible}",
         f"  no-disambiguation: {report.n_no_disambiguation}",
         "of polyhomographic word types:",
-        f"  guaranteed:        {pct(report.guaranteed_pct_of_polyhomographic)}",
-        f"  possible (cum.):   {pct(report.possible_pct_of_polyhomographic)}",
+        f"  guaranteed:        {fmt_pct(guaranteed_of_poly)}",
+        f"  possible (cum.):   {fmt_pct(possible_of_poly)}",
         "over all word types:",
-        f"  guaranteed:        {pct(report.guaranteed_pct_all_types)}",
-        f"  possible (cum.):   {pct(report.possible_pct_all_types)}",
+        f"  guaranteed:        {fmt_pct(report.guaranteed_pct_all_types / 100)}",
+        f"  possible (cum.):   {fmt_pct(report.possible_pct_all_types / 100)}",
     ]
     if report.collision_histogram:
         lines.append("homograph collisions by tag:")

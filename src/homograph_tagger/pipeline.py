@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusError, UnmappedTagError
-from .lexicon import Lexicon, lookup, normalize_key
-from .tagmap import TagMapping, is_open_class
+from .lexicon import Lexicon, lookup
+from .tagmap import TagMapping
 
 OUTPUT_HEADER = "#homograph-tagger v1"
 _MISSING = "-"
@@ -87,8 +87,11 @@ class SenseTaggedToken:
 
 
 def lookup_key(token: TaggedToken) -> str:
-    """The lexicon lookup key for a token: its lemma when given, else the surface."""
-    return normalize_key(token.lemma if token.lemma else token.surface)
+    """The form a token is looked up by: its lemma when given, else the surface.
+
+    Left unnormalized, since `lookup` normalizes what it is given.
+    """
+    return token.lemma if token.lemma else token.surface
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ def read_corpus(path: str | Path) -> list[Document]:
         current_explicit = False
         tokens = []
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -212,7 +215,7 @@ def disambiguate_token(
         if strict:
             raise UnmappedTagError(token.fine_tag, line=token.line)
         return SenseTaggedToken(token, None, False, TokenStatus.CLOSED_CLASS, None, False)
-    if not is_open_class(mapping, coarse):
+    if coarse not in mapping.open_class:
         return SenseTaggedToken(token, coarse, False, TokenStatus.CLOSED_CLASS, None, False)
     entry = lookup(lexicon, lookup_key(token))
     if entry is None:
@@ -266,28 +269,6 @@ def render_output(results: Iterable[SenseTaggedToken]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_output(results: Iterable[SenseTaggedToken], path: str | Path) -> None:
-    """Write rendered results to a file, byte-identical across runs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_output(results))
-
-
 def status_counts(results: Iterable[SenseTaggedToken]) -> Counter[TokenStatus]:
     """Tally of token statuses, for run summaries."""
     return Counter(tagged.status for tagged in results)
-
-
-# ---------------------------------------------------------------------------
-# baseline
-
-
-def baseline_pos_assign(lexicon: Lexicon, surface: str) -> str | None:
-    """Demo-quality POS guess: the first coarse tag of the word's first homograph.
-
-    Handy for smoke-testing a lexicon when no tagger output is around;
-    not meant to feed evaluation runs.
-    """
-    entry = lookup(lexicon, surface)
-    if entry is None:
-        return None
-    return entry.homographs[0].pos[0]

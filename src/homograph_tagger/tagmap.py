@@ -1,4 +1,4 @@
-"""Fine-to-coarse part-of-speech tag mapping and the open-class predicate.
+"""Fine-to-coarse part-of-speech tag mapping and the open-class tag set.
 
 Mapping file format (UTF-8):
 
@@ -29,7 +29,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import Iterable
 
-from .errors import TagMapError, UnmappedTagError
+from .errors import TagMapError
 from .lexicon import default_vocabulary
 
 DEFAULT_OPEN_CLASS = frozenset({"n", "v", "adj", "adv"})
@@ -56,7 +56,7 @@ def default_tagmap(vocabulary: tuple[str, ...] | None = None) -> TagMapping:
 
 def load_tagmap(path: str | Path, vocabulary: Iterable[str] | None = None) -> TagMapping:
     """Load a mapping file, validating every image tag against the vocabulary."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return _parse_tagmap(fh.read().splitlines(), str(path), vocabulary)
 
 
@@ -119,20 +119,3 @@ def _parse_tagmap(lines: Iterable[str], source: str, vocabulary) -> TagMapping:
     if stray:
         raise TagMapError(f"{source}: !proper names unmapped fine tag {sorted(stray)[0]!r}")
     return TagMapping(entries=entries, open_class=open_class, proper_tags=proper)
-
-
-def map_tag(mapping: TagMapping, fine: str, *, strict: bool = True) -> str | None:
-    """Map one fine tag to its coarse tag.
-
-    Unknown fine tags raise UnmappedTagError in strict mode and return
-    None otherwise; callers then treat the token as closed class.
-    """
-    coarse = mapping.entries.get(fine)
-    if coarse is None and strict:
-        raise UnmappedTagError(fine)
-    return coarse
-
-
-def is_open_class(mapping: TagMapping, coarse: str | None) -> bool:
-    """True when the coarse tag marks a content word."""
-    return coarse in mapping.open_class

@@ -56,6 +56,51 @@ def test_unknown_subcommand_is_a_usage_error(runner):
     assert invoke(runner, "frobnicate").exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "bad_input, data",
+    [
+        ("--corpus", b"caf\xe9\tNN\n"),
+        ("--lexicon", b'{"word": "caf\xe9", "homographs": []}\n'),
+    ],
+    ids=["corpus", "lexicon"],
+)
+def test_undecodable_input_is_a_data_error(runner, fixtures_dir, tmp_path, bad_input, data):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(data)
+    paths = {
+        "--lexicon": fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus": fx(fixtures_dir, "news_corpus.tsv"),
+        bad_input: bad,
+    }
+    result = invoke(runner, "tag", *[a for pair in paths.items() for a in pair])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.output
+    # an exception that escaped the CLI would be kept here instead of the exit
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_validate_ignores_a_leading_bom_in_every_input(runner, tmp_path):
+    bom = "\ufeff"
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(bom + "noun\nverb\n", encoding="utf-8")
+    tagmap = tmp_path / "map.tsv"
+    tagmap.write_text(bom + "!open: noun verb\nN\tnoun\nV\tverb\n", encoding="utf-8")
+    lexicon = tmp_path / "lex.jsonl"
+    lexicon.write_text(
+        bom + json.dumps({"word": "run", "homographs": [
+            {"pos": ["noun"], "senses": [{"def": "a jog"}]},
+        ]}) + "\n",
+        encoding="utf-8",
+    )
+    result = invoke(
+        runner, "validate", "--lexicon", lexicon, "--vocab", vocab, "--tagmap", tagmap
+    )
+    assert result.exit_code == 0
+    assert "lexicon ok: 1 word types; tag map ok: 2 fine tags" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -77,6 +122,24 @@ def test_analyze_structured_report(runner, fixtures_dir):
     payload = json.loads(result.stdout)
     expected = json.loads((fixtures_dir / "taxonomy_expected.json").read_text("utf-8"))
     assert payload == expected
+
+
+def test_analyze_does_not_load_the_tag_map(runner, tmp_path):
+    # the default tag map needs coarse tags (punct, conj, ...) this vocabulary lacks
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("n\nv\nadj\nadv\n", encoding="utf-8")
+    lexicon = tmp_path / "lex.jsonl"
+    lexicon.write_text(
+        json.dumps({"word": "run", "homographs": [
+            {"pos": ["n"], "senses": [{"def": "a jog"}]},
+            {"pos": ["v"], "senses": [{"def": "to jog"}]},
+        ]}) + "\n",
+        encoding="utf-8",
+    )
+    assert invoke(runner, "validate", "--lexicon", lexicon, "--vocab", vocab).exit_code == 1
+    result = invoke(runner, "analyze", "--lexicon", lexicon, "--vocab", vocab)
+    assert result.exit_code == 0
+    assert "guaranteed:        1" in result.stdout
 
 
 def test_analyze_empty_lexicon_fails(runner, tmp_path):
@@ -204,6 +267,18 @@ def test_tag_with_custom_vocab_and_tagmap(runner, fixtures_dir, tmp_path):
     )
     assert result.exit_code == 0
     assert "1\trun\tverb\tM\t2" in result.stdout
+
+
+def test_tag_ignores_a_leading_bom_in_the_corpus(runner, fixtures_dir, tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("\ufeffbank\tNN\n", encoding="utf-8")
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", corpus,
+    )
+    assert result.exit_code == 0
+    assert result.stdout == "#homograph-tagger v1\n0\tbank\tn\tM\t1\n"
 
 
 # ---------------------------------------------------------------------------

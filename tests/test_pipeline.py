@@ -6,13 +6,11 @@ from homograph_tagger import (
     Document,
     TokenStatus,
     UnmappedTagError,
-    baseline_pos_assign,
     disambiguate_token,
     read_corpus,
     render_output,
     status_counts,
     tag_document,
-    write_output,
 )
 from support import make_entry, make_lexicon, tok
 
@@ -71,6 +69,11 @@ def test_read_corpus_blank_line_after_header_does_not_split(tmp_path):
     docs = read_corpus(write_corpus(tmp_path, "# doc: a\n\n\nx\tNN\n"))
     assert [d.doc_id for d in docs] == ["a"]
     assert len(docs[0].tokens) == 1
+
+
+def test_read_corpus_ignores_a_bom_before_a_document_header(tmp_path):
+    docs = read_corpus(write_corpus(tmp_path, "\ufeff# doc: x\nbank\tNN\n"))
+    assert [d.doc_id for d in docs] == ["x"]
 
 
 def test_read_corpus_skips_comments_but_not_hash_tokens(tmp_path):
@@ -219,16 +222,6 @@ def test_render_output_header_only_for_no_tokens():
     assert render_output([]) == "#homograph-tagger v1\n"
 
 
-def test_write_output_uses_unix_newlines(tmp_path, lex, penn):
-    doc = Document("d", (tok("bank", "NN", index=0),))
-    results = tag_document(lex, penn, doc)
-    path = tmp_path / "out.tsv"
-    write_output(results, path)
-    data = path.read_bytes()
-    assert data == render_output(results).encode("utf-8")
-    assert b"\r" not in data
-
-
 def test_full_fixture_run_matches_the_hand_traced_golden(fixtures_dir, news_lexicon, penn):
     docs = read_corpus(fixtures_dir / "news_corpus.tsv")
     results = [r for doc in docs for r in tag_document(news_lexicon, penn, doc)]
@@ -249,9 +242,3 @@ def test_tagging_agrees_with_the_hand_assignment_rule(fixtures_dir, news_lexicon
         got = disambiguate_token(news_lexicon, penn, tok(surface, fine))
         status, hid = oracles.assign_by_hand(by_word[surface], got.coarse_tag)
         assert (got.status.value, got.homograph_id) == (status, hid)
-
-
-def test_baseline_pos_assign(lex):
-    assert baseline_pos_assign(lex, "bank") == "n"
-    assert baseline_pos_assign(lex, "BANK") == "n"
-    assert baseline_pos_assign(lex, "missing") is None

@@ -1,12 +1,6 @@
 import pytest
 
-from homograph_tagger import (
-    TagMapError,
-    UnmappedTagError,
-    is_open_class,
-    load_tagmap,
-    map_tag,
-)
+from homograph_tagger import TagMapError, load_tagmap
 
 
 def write_map(tmp_path, text):
@@ -36,22 +30,14 @@ def test_default_tagmap_covers_the_penn_treebank_tagset(penn):
     ],
 )
 def test_default_mappings(penn, fine, coarse):
-    assert map_tag(penn, fine) == coarse
+    assert penn.entries[fine] == coarse
 
 
 def test_open_class_membership(penn):
-    assert is_open_class(penn, "n")
-    assert is_open_class(penn, "adv")
-    assert not is_open_class(penn, "prep")
-    assert not is_open_class(penn, None)
-
-
-def test_map_tag_strict_raises_with_tag_and_line(penn):
-    with pytest.raises(UnmappedTagError, match="'XYZ'") as exc_info:
-        map_tag(penn, "XYZ")
-    assert exc_info.value.tag == "XYZ"
-    assert exc_info.value.line is None
-    assert map_tag(penn, "XYZ", strict=False) is None
+    assert "n" in penn.open_class
+    assert "adv" in penn.open_class
+    assert "prep" not in penn.open_class
+    assert None not in penn.open_class
 
 
 def test_load_tagmap_with_headers(tmp_path):
@@ -68,7 +54,7 @@ def test_load_tagmap_with_headers(tmp_path):
     assert len(mapping) == 4
     assert mapping.open_class == frozenset({"n", "v"})
     assert mapping.proper_tags == frozenset({"NP"})
-    assert map_tag(mapping, "DT") == "det"
+    assert mapping.entries["DT"] == "det"
 
 
 def test_load_tagmap_defaults_the_open_class_when_no_header(tmp_path):
@@ -79,7 +65,7 @@ def test_load_tagmap_defaults_the_open_class_when_no_header(tmp_path):
 
 def test_hash_initial_line_is_data_when_followed_by_a_tab(tmp_path):
     mapping = load_tagmap(write_map(tmp_path, "#\tpunct\n# real comment\nNN\tn\n"))
-    assert map_tag(mapping, "#") == "punct"
+    assert mapping.entries["#"] == "punct"
     assert len(mapping) == 2
 
 
@@ -105,7 +91,7 @@ def test_load_tagmap_rejects_malformed_files(tmp_path, text, message):
 def test_load_tagmap_validates_against_a_custom_vocabulary(tmp_path):
     path = write_map(tmp_path, "!open: noun\nNN\tnoun\n")
     mapping = load_tagmap(path, vocabulary=["noun"])
-    assert map_tag(mapping, "NN") == "noun"
+    assert mapping.entries["NN"] == "noun"
     with pytest.raises(TagMapError):
         load_tagmap(path)
 
