@@ -44,6 +44,7 @@ from .pipeline import (
     lookup_key,
     read_corpus,
     render_output,
+    render_tokens,
     status_counts,
     tag_document,
 )

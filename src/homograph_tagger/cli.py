@@ -7,11 +7,26 @@ lexicon, vocabulary, tag map or corpus, or failed evaluation
 preconditions), 2 on a usage or I/O error. Diagnostics go to stderr;
 data goes to stdout or to the chosen output path. Input files may
 start with a UTF-8 byte order mark, which is ignored.
+
+`tag` and `eval` stream the corpus: each document is read, tagged and
+written (or scored) before the next one is read, so memory does not
+grow with the corpus. A file named by `--out` or `--report` is written
+all-or-nothing: the run writes a temporary file in the same directory
+and renames it over the target only on success, so a failed or
+interrupted run leaves no output file and an existing one untouched.
+Stdout has no such guarantee: a run that fails part way may already
+have printed a prefix of its output; it still exits 1 (or 2) with one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from collections import Counter
+from contextlib import contextmanager
+from itertools import chain, tee
+from typing import Iterator, TextIO
 
 import click
 
@@ -24,7 +39,14 @@ from .lexicon import (
     load_vocabulary,
     render_taxonomy,
 )
-from .pipeline import TokenStatus, read_corpus, render_output, status_counts, tag_document
+from .pipeline import (
+    OUTPUT_HEADER,
+    TokenStatus,
+    read_corpus,
+    render_tokens,
+    status_counts,
+    tag_document,
+)
 from .tagmap import default_tagmap, load_tagmap
 
 EXIT_DATA_ERROR = 1
@@ -37,7 +59,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (TaggerDataError, UnicodeDecodeError) as exc:
+        except TaggerDataError as exc:
             code, message = EXIT_DATA_ERROR, exc
         except OSError as exc:
             code, message = EXIT_USAGE_ERROR, exc
@@ -54,25 +76,51 @@ def _load_tagmap(tagmap_path, vocabulary):
     return load_tagmap(tagmap_path, vocabulary) if tagmap_path else default_tagmap(vocabulary)
 
 
-def _tag_corpus(lexicon_path, vocabulary_path, tagmap_path, corpus_path, lenient, skip_proper):
-    lexicon = _load_lexicon(lexicon_path, vocabulary_path)
-    mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
-    documents = read_corpus(corpus_path)
-    results = []
-    for document in documents:
-        results.extend(
-            tag_document(lexicon, mapping, document, strict=not lenient, skip_proper=skip_proper)
-        )
-    return lexicon, documents, results
+def _tag_stream(lexicon, mapping, corpus_path, lenient, skip_proper):
+    """The tag results of each corpus document in turn, one document at a time."""
+    for document in read_corpus(corpus_path):
+        yield tag_document(lexicon, mapping, document, strict=not lenient, skip_proper=skip_proper)
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write text to path, or to stdout when no path is given."""
-    if not path:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """A text stream to path, or to stdout when path is None.
+
+    A path is written through a temporary file beside it (beside the
+    file it links to, for a symbolic link), renamed over it when the
+    block ends normally and removed when the block raises anything,
+    KeyboardInterrupt included. A path that exists and is not a regular
+    file, such as /dev/null, is written directly.
+    """
+    if path is None:
+        yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # O_EXCL never clobbers another file; mode 0o666 lets the umask apply as for open()
+        descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(descriptor, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def _output_path(ctx, param, value):
+    """Reject an empty output path, which would otherwise mean stdout."""
+    if value is not None and not value:
+        raise click.BadParameter("must not be empty")
+    return value
 
 
 @click.group(cls=_Main)
@@ -145,19 +193,34 @@ def analyze(lexicon_path, vocabulary_path, report_format):
 @_vocab_option
 @_tagmap_option
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(), help="Tagged corpus file.")
-@click.option("--out", "output_path", type=click.Path(), default=None, help="Output file (default: stdout).")
+@click.option(
+    "--out",
+    "output_path",
+    type=click.Path(),
+    default=None,
+    callback=_output_path,
+    help="Output file (default: stdout).",
+)
 @_lenient_option
 @_skip_proper_option
 def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, lenient, skip_proper):
     """Assign a homograph to every token of a POS-tagged corpus."""
-    _, documents, results = _tag_corpus(
-        lexicon_path, vocabulary_path, tagmap_path, corpus_path, lenient, skip_proper
-    )
-    # rendered in full before the file is opened, so a failed run leaves no file
-    _write(render_output(results), output_path)
-    counts = status_counts(results)
+    lexicon = _load_lexicon(lexicon_path, vocabulary_path)
+    mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
+    stream = _tag_stream(lexicon, mapping, corpus_path, lenient, skip_proper)
+    # the first document is tagged before any output is opened, so a corpus
+    # that fails at once (missing, empty, malformed at the top) prints nothing
+    documents = chain([next(stream)], stream)
+    counts: Counter[TokenStatus] = Counter()
+    n_documents = 0
+    with _output(output_path) as out:
+        out.write(f"{OUTPUT_HEADER}\n")
+        for results in documents:
+            out.write(render_tokens(results))
+            counts.update(status_counts(results))
+            n_documents += 1
     print(
-        f"tagged {len(results)} tokens in {len(documents)} documents:"
+        f"tagged {counts.total()} tokens in {n_documents} documents:"
         f" {counts[TokenStatus.MATCHED]} matched,"
         f" {counts[TokenStatus.FALLBACK]} fallback,"
         f" {counts[TokenStatus.UNKNOWN_WORD]} unknown,"
@@ -177,7 +240,14 @@ def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, le
     type=click.Path(),
     help="Tagged corpus file with gold homograph annotations.",
 )
-@click.option("--report", "report_path", type=click.Path(), default=None, help="Report file (default: stdout).")
+@click.option(
+    "--report",
+    "report_path",
+    type=click.Path(),
+    default=None,
+    callback=_output_path,
+    help="Report file (default: stdout).",
+)
 @_report_format_option
 @_lenient_option
 @_skip_proper_option
@@ -185,11 +255,20 @@ def eval_command(
     lexicon_path, vocabulary_path, tagmap_path, corpus_path, report_path, report_format, lenient, skip_proper
 ):
     """Tag a gold-annotated corpus and score the assignments."""
-    lexicon, documents, results = _tag_corpus(
-        lexicon_path, vocabulary_path, tagmap_path, corpus_path, lenient, skip_proper
-    )
-    gold = [token.gold_homograph_id for doc in documents for token in doc.tokens]
-    if all(g is None for g in gold):
+    lexicon = _load_lexicon(lexicon_path, vocabulary_path)
+    mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
+    annotated = False
+
+    def results():
+        nonlocal annotated
+        for tagged in _tag_stream(lexicon, mapping, corpus_path, lenient, skip_proper):
+            annotated = annotated or any(r.token.gold_homograph_id is not None for r in tagged)
+            yield from tagged
+
+    # evaluate takes the two in step, so tee holds at most one result
+    scored, aligned = tee(results())
+    report = evaluate(lexicon, scored, (tagged.token.gold_homograph_id for tagged in aligned))
+    if not annotated:
         raise EvaluationError(f"{corpus_path}: corpus carries no gold homograph annotations")
-    report = evaluate(lexicon, results, gold)
-    _write(render_report(report, report_format), report_path)
+    with _output(report_path) as out:
+        out.write(render_report(report, report_format))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable
 
 from .errors import EvaluationError
 from .lexicon import Lexicon, lookup
@@ -43,24 +44,34 @@ class EvalReport:
     poly_share: float | None
 
 
+_END = object()
+
+
 def evaluate(
     lexicon: Lexicon,
-    results: Sequence[SenseTaggedToken],
-    gold: Sequence[int | None],
+    results: Iterable[SenseTaggedToken],
+    gold: Iterable[int | None],
 ) -> EvalReport:
     """Score assignments against position-aligned gold homograph ids.
 
     A scored token is correct when its assigned homograph id equals the
     gold id. Gold ids are range-checked against the token's word type;
     the lexicon must be the one the results were produced with.
+
+    Both arguments are consumed once, in step, so they may be
+    generators. An error in an earlier token is reported before a
+    length mismatch, which shows only when the shorter one runs out.
     """
-    if len(results) != len(gold):
-        raise EvaluationError(
-            f"results/gold length mismatch: {len(results)} results, {len(gold)} gold ids"
-        )
     n_open = n_unknown = fallbacks = 0
     n_mono = n_poly = correct_mono = correct_poly = 0
-    for tagged, gold_id in zip(results, gold):
+    pairs = zip_longest(results, gold, fillvalue=_END)
+    for position, (tagged, gold_id) in enumerate(pairs):
+        if tagged is _END or gold_id is _END:
+            longer = position + 1 + sum(1 for _ in pairs)
+            n_results, n_gold = (position, longer) if tagged is _END else (longer, position)
+            raise EvaluationError(
+                f"results/gold length mismatch: {n_results} results, {n_gold} gold ids"
+            )
         if not tagged.open_class:
             continue
         n_open += 1

@@ -12,11 +12,18 @@ Order is authoritative: homographs and senses are listed most frequent
 first, so position 1 is the most likely reading and ids are just
 1-based positions. Keys are normalized by lowercasing, both at load
 time and on lookup; no stemming or other conflation is applied.
+
+Each word type carries a tag table, `by_tag`, built once when the entry
+is made: coarse tag -> (id of the first homograph carrying the tag,
+number of homographs carrying it). The tagger reads the first element
+(one dict lookup per token instead of a scan of the homographs) and the
+taxonomy reads the second.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import re
 from collections import Counter
@@ -27,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import LexiconError, VocabularyError
-from .util import fmt_pct, pct_of
+from .util import fmt_pct, pct_of, undecodable
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -50,8 +57,12 @@ def default_vocabulary() -> tuple[str, ...]:
 
 def load_vocabulary(path: str | Path) -> tuple[str, ...]:
     """Load a vocabulary file: one coarse tag per line, '#' comments allowed."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return _parse_vocabulary(fh.read().splitlines(), str(path))
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise undecodable(path, VocabularyError) from None
+    return _parse_vocabulary(text.splitlines(), str(path))
 
 
 def _parse_vocabulary(lines: Iterable[str], source: str) -> tuple[str, ...]:
@@ -85,7 +96,7 @@ class DisambCategory(enum.Enum):
     NO_DISAMBIGUATION = "no-disambiguation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SenseEntry:
     """One numbered sense within a homograph. The definition is opaque text."""
 
@@ -93,7 +104,7 @@ class SenseEntry:
     definition: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Homograph:
     """An ordered block of senses sharing one set of coarse POS tags.
 
@@ -107,12 +118,26 @@ class Homograph:
     senses: tuple[SenseEntry, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordTypeEntry:
-    """A normalized headword and its ordered homographs."""
+    """A normalized headword, its ordered homographs and its tag table.
+
+    by_tag maps each coarse tag that some homograph carries to the id of
+    the first homograph carrying it and the number carrying it. It is
+    derived from homographs on construction; treat it as read-only.
+    """
 
     key: str
     homographs: tuple[Homograph, ...]
+    by_tag: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_tag: dict[str, tuple[int, int]] = {}
+        for homograph in self.homographs:
+            for tag in homograph.pos:
+                first, count = by_tag.get(tag, (homograph.homograph_id, 0))
+                by_tag[tag] = (first, count + 1)
+        object.__setattr__(self, "by_tag", by_tag)
 
     def sense_count(self) -> int:
         return sum(len(h.senses) for h in self.homographs)
@@ -156,29 +181,42 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     17-tag default when none is given). Duplicate word keys, unknown
     tags, and empty homograph or sense lists are rejected with the
     offending line number in the message.
+
+    The cyclic garbage collector is paused while the file loads and put
+    back as it was afterwards: the entries hold no reference cycles, so
+    it would free nothing, yet its full passes over the growing lexicon
+    take about a third of the load time.
     """
     vocab = tuple(vocabulary) if vocabulary is not None else default_vocabulary()
     vocab_set = frozenset(vocab)
     source = str(path)
     entries: list[WordTypeEntry] = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LexiconError(f"{source}:{lineno}: invalid JSON: {exc.msg}") from None
-            entry = _entry_from_record(record, vocab_set, source, lineno)
-            if entry.key in first_line:
-                raise LexiconError(
-                    f"{source}:{lineno}: duplicate word type key {entry.key!r}"
-                    f" (first defined on line {first_line[entry.key]})"
-                )
-            first_line[entry.key] = lineno
-            entries.append(entry)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise LexiconError(f"{source}:{lineno}: invalid JSON: {exc.msg}") from None
+                entry = _entry_from_record(record, vocab_set, source, lineno)
+                if entry.key in first_line:
+                    raise LexiconError(
+                        f"{source}:{lineno}: duplicate word type key {entry.key!r}"
+                        f" (first defined on line {first_line[entry.key]})"
+                    )
+                first_line[entry.key] = lineno
+                entries.append(entry)
+    except UnicodeDecodeError:
+        raise undecodable(path, LexiconError) from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return Lexicon(vocabulary=vocab, entries=tuple(entries))
 
 
@@ -256,19 +294,14 @@ def classify_word_type(entry: WordTypeEntry) -> DisambCategory:
     a mixture means some tags decide the homograph and some do not
     (possible). Word types with one homograph are trivial.
     """
-    return _classify(entry)[0]
-
-
-def _classify(entry: WordTypeEntry) -> tuple[DisambCategory, Counter[str]]:
-    """The entry's category and its per-tag homograph counts."""
-    counts = Counter(tag for h in entry.homographs for tag in h.pos)
     if len(entry.homographs) == 1:
-        return DisambCategory.MONOHOMOGRAPHIC, counts
-    if max(counts.values()) <= 1:
-        return DisambCategory.GUARANTEED, counts
-    if min(counts.values()) >= 2:
-        return DisambCategory.NO_DISAMBIGUATION, counts
-    return DisambCategory.POSSIBLE, counts
+        return DisambCategory.MONOHOMOGRAPHIC
+    counts = [count for _, count in entry.by_tag.values()]
+    if max(counts) <= 1:
+        return DisambCategory.GUARANTEED
+    if min(counts) >= 2:
+        return DisambCategory.NO_DISAMBIGUATION
+    return DisambCategory.POSSIBLE
 
 
 @dataclass(frozen=True)
@@ -309,13 +342,12 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
     n_polyhomographic = 0
     collisions: Counter[str] = Counter()
     for entry in lexicon.entries:
-        category, tag_counts = _classify(entry)
-        by_category[category] += 1
+        by_category[classify_word_type(entry)] += 1
         if entry.sense_count() >= 2:
             n_polysemous += 1
         if entry.polyhomographic:
             n_polyhomographic += 1
-        collisions.update(tag for tag, count in tag_counts.items() if count >= 2)
+        collisions.update(tag for tag, (_, count) in entry.by_tag.items() if count >= 2)
     n = len(lexicon.entries)
     n_mono = by_category[DisambCategory.MONOHOMOGRAPHIC]
     n_guaranteed = by_category[DisambCategory.GUARANTEED]

@@ -20,6 +20,14 @@ STATUS is C (closed class), U (unknown word), M (matched) or F
 (fallback); '-' marks an absent homograph id or coarse tag. INDEX
 restarts at 0 on each document boundary. The rendering is
 byte-deterministic: same input, same bytes.
+
+The corpus is streamed: `read_corpus` yields one document at a time, so
+a caller that tags, renders and writes each document before reading the
+next holds one document in memory, not the corpus. Tokens are named
+tuples. Tagging a token is one lookup of its fine tag, one lowercased
+lookup of its word type and one lookup of the coarse tag in that word
+type's `by_tag` table (see `lexicon`), which holds the first homograph
+carrying each tag.
 """
 
 from __future__ import annotations
@@ -28,14 +36,18 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusError, UnmappedTagError
-from .lexicon import Lexicon, lookup
+from .lexicon import Lexicon, normalize_key
 from .tagmap import TagMapping
+from .util import undecodable
 
 OUTPUT_HEADER = "#homograph-tagger v1"
 _MISSING = "-"
+# _make(Cls, fields) builds the NamedTuple Cls without running the
+# Python-level __new__ that calling Cls runs, about half the cost of a token
+_make = tuple.__new__
 
 
 class TokenStatus(enum.Enum):
@@ -47,8 +59,13 @@ class TokenStatus(enum.Enum):
     FALLBACK = "F"
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+_CLOSED = TokenStatus.CLOSED_CLASS
+_UNKNOWN = TokenStatus.UNKNOWN_WORD
+_MATCHED = TokenStatus.MATCHED
+_FALLBACK = TokenStatus.FALLBACK
+
+
+class TaggedToken(NamedTuple):
     """One corpus token as read from the tagged input.
 
     line is the source line number, kept for diagnostics; gold_homograph_id
@@ -69,8 +86,7 @@ class Document:
     tokens: tuple[TaggedToken, ...]
 
 
-@dataclass(frozen=True)
-class SenseTaggedToken:
+class SenseTaggedToken(NamedTuple):
     """A token after homograph assignment.
 
     polyhomographic is True only for known open-class tokens whose word
@@ -98,92 +114,87 @@ def lookup_key(token: TaggedToken) -> str:
 # corpus reading
 
 
-def read_corpus(path: str | Path) -> list[Document]:
-    """Read a tab-separated tagged corpus into documents.
+def read_corpus(path: str | Path) -> Iterator[Document]:
+    """Read a tab-separated tagged corpus, yielding one document at a time.
 
     Token indexes are assigned 0..m-1 per document. Malformed lines,
-    bad gold ids, duplicate document ids and a corpus with no documents
-    at all are rejected with the offending line number where one exists.
+    bad gold ids and duplicate document ids are rejected with the
+    offending line number where one exists, when the reader reaches
+    them: the documents before them have been yielded by then. A corpus
+    with no documents at all is rejected once the file is read to the
+    end. Iterate it once to stream the corpus; `list(read_corpus(path))`
+    reads it whole.
     """
     source = str(path)
-    documents: list[Document] = []
+    seen: set[str] = set()
     ordinal = 0
     current_id: str | None = None
-    current_explicit = False
     tokens: list[TaggedToken] = []
-
-    def close_document() -> None:
-        nonlocal current_id, current_explicit, tokens
-        if current_id is not None:
-            documents.append(Document(current_id, tuple(tokens)))
-        current_id = None
-        current_explicit = False
-        tokens = []
-
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                # blank lines end a document once it has tokens; a freshly
-                # declared, still-empty document stays open
-                if tokens:
-                    close_document()
-                continue
-            if line.startswith("# doc:"):
-                doc_id = line[len("# doc:"):].strip()
-                if not doc_id:
-                    raise CorpusError(f"{source}:{lineno}: document header with empty id")
-                close_document()
-                ordinal += 1
-                current_id = doc_id
-                current_explicit = True
-                continue
-            if line.startswith("#") and not line.startswith("#\t"):
-                continue
-            fields = line.split("\t")
-            if not 2 <= len(fields) <= 4:
-                raise CorpusError(
-                    f"{source}:{lineno}: expected 2 to 4 tab-separated fields,"
-                    f" got {len(fields)}"
-                )
-            surface, fine = fields[0], fields[1]
-            if not surface:
-                raise CorpusError(f"{source}:{lineno}: empty surface field")
-            if not fine:
-                raise CorpusError(f"{source}:{lineno}: empty fine tag field")
-            lemma = fields[2] if len(fields) >= 3 and fields[2] else None
-            gold = None
-            if len(fields) == 4 and fields[3]:
-                try:
-                    gold = int(fields[3])
-                except ValueError:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line or line.isspace():
+                    # blank lines end a document once it has tokens; a freshly
+                    # declared, still-empty document stays open
+                    if tokens:
+                        yield Document(current_id, tuple(tokens))
+                        current_id, tokens = None, []
+                    continue
+                if line[0] == "#" and line[1:2] != "\t":
+                    if line.startswith("# doc:"):
+                        doc_id = line[len("# doc:"):].strip()
+                        if not doc_id:
+                            raise CorpusError(f"{source}:{lineno}: document header with empty id")
+                        if current_id is not None:
+                            yield Document(current_id, tuple(tokens))
+                        ordinal += 1
+                        current_id, tokens = _new_id(doc_id, seen, source, lineno), []
+                    continue
+                fields = line.split("\t")
+                n_fields = len(fields)
+                if not 2 <= n_fields <= 4:
                     raise CorpusError(
-                        f"{source}:{lineno}: gold homograph id must be an integer,"
-                        f" got {fields[3]!r}"
-                    ) from None
-                if gold < 1:
-                    raise CorpusError(f"{source}:{lineno}: gold homograph id must be >= 1")
-            if current_id is None:
-                ordinal += 1
-                current_id = f"doc{ordinal}"
-            tokens.append(
-                TaggedToken(
-                    index=len(tokens),
-                    surface=surface,
-                    fine_tag=fine,
-                    lemma=lemma,
-                    gold_homograph_id=gold,
-                    line=lineno,
-                )
-            )
-        close_document()
-    if not documents:
+                        f"{source}:{lineno}: expected 2 to 4 tab-separated fields,"
+                        f" got {n_fields}"
+                    )
+                surface, fine = fields[0], fields[1]
+                if not surface:
+                    raise CorpusError(f"{source}:{lineno}: empty surface field")
+                if not fine:
+                    raise CorpusError(f"{source}:{lineno}: empty fine tag field")
+                lemma = (fields[2] or None) if n_fields >= 3 else None
+                gold = _gold_id(fields[3], source, lineno) if n_fields == 4 and fields[3] else None
+                if current_id is None:
+                    ordinal += 1
+                    current_id = _new_id(f"doc{ordinal}", seen, source, lineno)
+                tokens.append(_make(TaggedToken, (len(tokens), surface, fine, lemma, gold, lineno)))
+    except UnicodeDecodeError:
+        raise undecodable(path, CorpusError) from None
+    if current_id is not None:
+        yield Document(current_id, tuple(tokens))
+    if not seen:
         raise CorpusError(f"{source}: empty corpus (no documents)")
-    counts = Counter(d.doc_id for d in documents)
-    duplicates = [doc_id for doc_id, n in counts.items() if n > 1]
-    if duplicates:
-        raise CorpusError(f"{source}: duplicate document id {duplicates[0]!r}")
-    return documents
+
+
+def _new_id(doc_id: str, seen: set[str], source: str, lineno: int) -> str:
+    """doc_id, once checked against and added to the ids seen so far."""
+    if doc_id in seen:
+        raise CorpusError(f"{source}:{lineno}: duplicate document id {doc_id!r}")
+    seen.add(doc_id)
+    return doc_id
+
+
+def _gold_id(field: str, source: str, lineno: int) -> int:
+    try:
+        gold = int(field)
+    except ValueError:
+        raise CorpusError(
+            f"{source}:{lineno}: gold homograph id must be an integer, got {field!r}"
+        ) from None
+    if gold < 1:
+        raise CorpusError(f"{source}:{lineno}: gold homograph id must be >= 1")
+    return gold
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +218,7 @@ def disambiguate_token(
     matches. In strict mode an unmapped fine tag raises
     UnmappedTagError; in lenient mode it makes the token closed class.
     """
-    if skip_proper and token.fine_tag in mapping.proper_tags:
-        coarse = mapping.entries.get(token.fine_tag)
-        return SenseTaggedToken(token, coarse, False, TokenStatus.CLOSED_CLASS, None, False)
-    coarse = mapping.entries.get(token.fine_tag)
-    if coarse is None:
-        if strict:
-            raise UnmappedTagError(token.fine_tag, line=token.line)
-        return SenseTaggedToken(token, None, False, TokenStatus.CLOSED_CLASS, None, False)
-    if coarse not in mapping.open_class:
-        return SenseTaggedToken(token, coarse, False, TokenStatus.CLOSED_CLASS, None, False)
-    entry = lookup(lexicon, lookup_key(token))
-    if entry is None:
-        return SenseTaggedToken(token, coarse, True, TokenStatus.UNKNOWN_WORD, None, False)
-    poly = entry.polyhomographic
-    for homograph in entry.homographs:
-        if coarse in homograph.pos:
-            return SenseTaggedToken(
-                token, coarse, True, TokenStatus.MATCHED, homograph.homograph_id, poly
-            )
-    return SenseTaggedToken(token, coarse, True, TokenStatus.FALLBACK, 1, poly)
+    return _tag_tokens(lexicon, mapping, (token,), strict, skip_proper)[0]
 
 
 def tag_document(
@@ -237,14 +229,44 @@ def tag_document(
     strict: bool = True,
     skip_proper: bool = False,
 ) -> list[SenseTaggedToken]:
-    """Disambiguate every token of a document, in order.
+    """Disambiguate every token of a document, in order (see disambiguate_token).
 
     In strict mode the first token-level error aborts the document.
     """
-    return [
-        disambiguate_token(lexicon, mapping, token, strict=strict, skip_proper=skip_proper)
-        for token in document.tokens
-    ]
+    return _tag_tokens(lexicon, mapping, document.tokens, strict, skip_proper)
+
+
+def _tag_tokens(
+    lexicon: Lexicon,
+    mapping: TagMapping,
+    tokens: Sequence[TaggedToken],
+    strict: bool,
+    skip_proper: bool,
+) -> list[SenseTaggedToken]:
+    coarse_of = mapping.entries.get
+    open_class = mapping.open_class
+    proper = mapping.proper_tags if skip_proper else frozenset()
+    find = lexicon._index.get
+    results = []
+    for token in tokens:
+        fine = token.fine_tag
+        coarse = coarse_of(fine)
+        if coarse not in open_class or fine in proper:
+            if coarse is None and strict and fine not in proper:
+                raise UnmappedTagError(fine, line=token.line)
+            results.append(_make(SenseTaggedToken, (token, coarse, False, _CLOSED, None, False)))
+            continue
+        entry = find(normalize_key(token.lemma or token.surface))
+        if entry is None:
+            results.append(_make(SenseTaggedToken, (token, coarse, True, _UNKNOWN, None, False)))
+            continue
+        poly = entry.polyhomographic
+        hit = entry.by_tag.get(coarse)
+        if hit is None:
+            results.append(_make(SenseTaggedToken, (token, coarse, True, _FALLBACK, 1, poly)))
+        else:
+            results.append(_make(SenseTaggedToken, (token, coarse, True, _MATCHED, hit[0], poly)))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +275,17 @@ def tag_document(
 
 def render_output(results: Iterable[SenseTaggedToken]) -> str:
     """Render results in the tab-separated output format, header included."""
-    lines = [OUTPUT_HEADER]
-    for tagged in results:
-        lines.append(
-            "\t".join(
-                (
-                    str(tagged.token.index),
-                    tagged.token.surface,
-                    tagged.coarse_tag if tagged.coarse_tag is not None else _MISSING,
-                    tagged.status.value,
-                    str(tagged.homograph_id) if tagged.homograph_id is not None else _MISSING,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return f"{OUTPUT_HEADER}\n{render_tokens(results)}"
+
+
+def render_tokens(results: Iterable[SenseTaggedToken]) -> str:
+    """Render results as output lines, without the header."""
+    # status._value_ is the plain attribute behind the slower .value property
+    return "".join([
+        f"{token.index}\t{token.surface}\t{_MISSING if coarse is None else coarse}"
+        f"\t{status._value_}\t{_MISSING if homograph_id is None else homograph_id}\n"
+        for token, coarse, _, status, homograph_id, _ in results
+    ])
 
 
 def status_counts(results: Iterable[SenseTaggedToken]) -> Counter[TokenStatus]:

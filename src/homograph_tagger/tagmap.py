@@ -31,6 +31,7 @@ from typing import Iterable
 
 from .errors import TagMapError
 from .lexicon import default_vocabulary
+from .util import undecodable
 
 DEFAULT_OPEN_CLASS = frozenset({"n", "v", "adj", "adv"})
 
@@ -56,8 +57,12 @@ def default_tagmap(vocabulary: tuple[str, ...] | None = None) -> TagMapping:
 
 def load_tagmap(path: str | Path, vocabulary: Iterable[str] | None = None) -> TagMapping:
     """Load a mapping file, validating every image tag against the vocabulary."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return _parse_tagmap(fh.read().splitlines(), str(path), vocabulary)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise undecodable(path, TagMapError) from None
+    return _parse_tagmap(text.splitlines(), str(path), vocabulary)
 
 
 def _parse_tagmap(lines: Iterable[str], source: str, vocabulary) -> TagMapping:

@@ -1,4 +1,4 @@
-"""Shared percentage arithmetic and rendering helpers.
+"""Shared percentage arithmetic and rendering helpers, and the undecodable-input error.
 
 All percentages in reports are rounded to one decimal place with
 half-up rounding, which is what decimal.ROUND_HALF_UP gives and what
@@ -6,6 +6,9 @@ round() does not.
 """
 
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
+
+from .errors import TaggerDataError
 
 _TENTH = Decimal("0.1")
 
@@ -22,3 +25,19 @@ def fmt_pct(fraction: float | None) -> str:
         return "n/a"
     value = Decimal(str(fraction)) * 100
     return f"{value.quantize(_TENTH, rounding=ROUND_HALF_UP)}%"
+
+
+def undecodable(path: str | Path, error_type: type[TaggerDataError]) -> TaggerDataError:
+    """The data error for a file that is not valid UTF-8, naming its first bad line.
+
+    Called only after decoding has failed: the file is read again with
+    undecodable bytes escaped, and lines are numbered as iterating the
+    file in text mode numbers them.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return error_type(f"{path}:{lineno}: not valid UTF-8")
+    return error_type(f"{path}: not valid UTF-8")

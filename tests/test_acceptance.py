@@ -153,7 +153,7 @@ def test_a5_assignments_are_pos_consistent_on_random_tokens(news_lexicon, penn):
 
 def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
     # identity 1: scoring a run against its own output is perfect
-    docs = read_corpus(fixtures_dir / "news_corpus.tsv")
+    docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     results = [r for d in docs for r in tag_document(news_lexicon, penn, d)]
     self_gold = [
         r.homograph_id if r.open_class and r.homograph_id is not None else None
@@ -179,7 +179,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
 
     # identity 3: the mixed fixture lands on its constructed figures
     mixed_lexicon = load_lexicon(fixtures_dir / "eval_mixed_lexicon.jsonl")
-    mixed_docs = read_corpus(fixtures_dir / "eval_mixed_corpus.tsv")
+    mixed_docs = list(read_corpus(fixtures_dir / "eval_mixed_corpus.tsv"))
     mixed_results = [r for d in mixed_docs for r in tag_document(mixed_lexicon, penn, d)]
     mixed_gold = [r.token.gold_homograph_id for r in mixed_results]
     mixed = evaluate(mixed_lexicon, mixed_results, mixed_gold)
@@ -193,7 +193,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
 
 
 def test_a7_fixture_corpus_is_majority_polyhomographic(fixtures_dir, news_lexicon, penn, news_counts):
-    docs = read_corpus(fixtures_dir / "news_corpus.tsv")
+    docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     results = [r for d in docs for r in tag_document(news_lexicon, penn, d)]
     gold = [r.token.gold_homograph_id for r in results]
     report = evaluate(news_lexicon, results, gold)

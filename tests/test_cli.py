@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -61,8 +62,10 @@ def test_unknown_subcommand_is_a_usage_error(runner):
     [
         ("--corpus", b"caf\xe9\tNN\n"),
         ("--lexicon", b'{"word": "caf\xe9", "homographs": []}\n'),
+        ("--vocab", b"caf\xe9\n"),
+        ("--tagmap", b"NN\tcaf\xe9\n"),
     ],
-    ids=["corpus", "lexicon"],
+    ids=["corpus", "lexicon", "vocab", "tagmap"],
 )
 def test_undecodable_input_is_a_data_error(runner, fixtures_dir, tmp_path, bad_input, data):
     bad = tmp_path / "latin1.txt"
@@ -79,6 +82,19 @@ def test_undecodable_input_is_a_data_error(runner, fixtures_dir, tmp_path, bad_i
     assert "Traceback" not in result.output
     # an exception that escaped the CLI would be kept here instead of the exit
     assert isinstance(result.exception, SystemExit)
+    assert f"{bad}:1: not valid UTF-8" in result.stderr
+
+
+def test_undecodable_input_names_the_first_bad_line(runner, fixtures_dir, tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_bytes(b"bank\tNN\n\r\n# doc: x\ncaf\xe9\tNN\n")
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", corpus,
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {corpus}:4: not valid UTF-8\n"
 
 
 def test_validate_ignores_a_leading_bom_in_every_input(runner, tmp_path):
@@ -231,6 +247,8 @@ def test_tag_empty_corpus_fails(runner, fixtures_dir, tmp_path):
     )
     assert result.exit_code == 1
     assert "empty corpus" in result.stderr
+    # nothing is printed before the first document is tagged
+    assert result.stdout == ""
 
 
 def test_tag_declared_empty_document_yields_header_only_output(runner, fixtures_dir, tmp_path):
@@ -279,6 +297,136 @@ def test_tag_ignores_a_leading_bom_in_the_corpus(runner, fixtures_dir, tmp_path)
     )
     assert result.exit_code == 0
     assert result.stdout == "#homograph-tagger v1\n0\tbank\tn\tM\t1\n"
+
+
+@pytest.mark.parametrize("command, option", [("tag", "--out"), ("eval", "--report")])
+def test_empty_output_path_is_a_usage_error(runner, fixtures_dir, command, option):
+    result = invoke(
+        runner, command,
+        "--lexicon", fx(fixtures_dir, "eval_mixed_lexicon.jsonl"),
+        "--corpus", fx(fixtures_dir, "eval_mixed_corpus.tsv"),
+        option, "",
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+# the last document ends in a line with one field
+BAD_LAST_DOCUMENT = "# doc: a\nbank\tNN\n\n# doc: b\nbank\tVB\nbad line\n"
+
+
+def test_failed_tag_run_leaves_no_output_file(runner, fixtures_dir, tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(BAD_LAST_DOCUMENT, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "tagged.tsv"
+    args = ["tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", corpus]
+    result = invoke(runner, *args, "--out", out)
+    assert result.exit_code == 1
+    assert "c.tsv:6" in result.stderr
+    assert list(out_dir.iterdir()) == []
+    # an output file from an earlier run is left as it was
+    out.write_bytes(b"earlier run\r\n")
+    result = invoke(runner, *args, "--out", out)
+    assert result.exit_code == 1
+    assert out.read_bytes() == b"earlier run\r\n"
+    assert list(out_dir.iterdir()) == [out]
+
+
+def test_interrupted_tag_run_leaves_no_output_file(runner, fixtures_dir, tmp_path, monkeypatch):
+    def interrupt(results):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("homograph_tagger.cli.render_tokens", interrupt)
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", fx(fixtures_dir, "news_corpus.tsv"),
+        "--out", tmp_path / "tagged.tsv",
+    )
+    assert result.exit_code != 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_tag_run_to_stdout_may_print_a_prefix(runner, fixtures_dir, tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(BAD_LAST_DOCUMENT, encoding="utf-8")
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", corpus,
+    )
+    assert result.exit_code == 1
+    assert "#homograph-tagger v1\n0\tbank\tn\tM\t1\n".startswith(result.stdout)
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_output_into_a_missing_directory_names_the_path(runner, fixtures_dir, tmp_path):
+    out = tmp_path / "missing" / "tagged.tsv"
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", fx(fixtures_dir, "news_corpus.tsv"),
+        "--out", out,
+    )
+    assert result.exit_code == 2
+    assert result.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_tag_writes_through_a_symbolic_link(runner, fixtures_dir, tmp_path):
+    target = tmp_path / "target.tsv"
+    target.write_text("earlier run\n", encoding="utf-8")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", fx(fixtures_dir, "news_corpus.tsv"),
+        "--out", link,
+    )
+    assert result.exit_code == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (fixtures_dir / "news_corpus_tagged.golden").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "target.tsv"]
+
+
+def test_tag_writes_into_a_device_directly(runner, fixtures_dir):
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", fx(fixtures_dir, "news_corpus.tsv"),
+        "--out", "/dev/null",
+    )
+    assert result.exit_code == 0
+    assert "tagged 209 tokens in 5 documents" in result.stderr
+
+
+def _peak_traced_bytes(runner, lexicon, corpus, out):
+    tracemalloc.start()
+    try:
+        result = invoke(runner, "tag", "--lexicon", lexicon, "--corpus", corpus, "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.stderr
+    return peak
+
+
+def test_tag_memory_does_not_grow_with_the_corpus(runner, fixtures_dir, tmp_path):
+    lexicon = fx(fixtures_dir, "pipeline_lexicon.jsonl")
+    token_lines = [
+        line for line in (fixtures_dir / "news_corpus.tsv").read_text("utf-8").splitlines(True)
+        if line.strip() and not line.startswith("# ")
+    ]
+    document = "".join(token_lines[:50])
+    peaks = {}
+    for n_documents in (20, 200):
+        corpus = tmp_path / f"c{n_documents}.tsv"
+        corpus.write_text("\n".join([document] * n_documents), encoding="utf-8")
+        peaks[n_documents] = _peak_traced_bytes(runner, lexicon, corpus, tmp_path / "out.tsv")
+    assert peaks[200] < 1.5 * peaks[20], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ def tag_corpus(lexicon, mapping, docs):
 @pytest.fixture()
 def mixed(fixtures_dir, penn):
     lexicon = load_lexicon(fixtures_dir / "eval_mixed_lexicon.jsonl")
-    docs = read_corpus(fixtures_dir / "eval_mixed_corpus.tsv")
+    docs = list(read_corpus(fixtures_dir / "eval_mixed_corpus.tsv"))
     results, gold = tag_corpus(lexicon, penn, docs)
     return lexicon, results, gold
 
@@ -51,7 +51,7 @@ def test_mixed_fixture_rendered_percentages(mixed):
 
 
 def test_self_gold_scores_everything_correct(fixtures_dir, news_lexicon, penn):
-    docs = read_corpus(fixtures_dir / "news_corpus.tsv")
+    docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     results, _ = tag_corpus(news_lexicon, penn, docs)
     self_gold = [
         r.homograph_id if r.open_class and r.homograph_id is not None else None
@@ -113,6 +113,15 @@ def test_length_mismatch_is_an_error(penn):
     results = tag_document(lexicon, penn, Document("d", (tok("sofa", "NN", index=0),)))
     with pytest.raises(EvaluationError, match="length mismatch"):
         evaluate(lexicon, results, [1, 1])
+
+
+def test_evaluate_takes_generators(mixed):
+    lexicon, results, gold = mixed
+    assert evaluate(lexicon, iter(results), iter(gold)) == evaluate(lexicon, results, gold)
+    with pytest.raises(EvaluationError, match="13 results, 14 gold ids"):
+        evaluate(lexicon, iter(results), iter(gold + [None]))
+    with pytest.raises(EvaluationError, match="13 results, 12 gold ids"):
+        evaluate(lexicon, iter(results), iter(gold[:-1]))
 
 
 def test_gold_out_of_range_is_an_error(penn):

@@ -1,3 +1,4 @@
+import gc
 import json
 from dataclasses import asdict
 
@@ -88,6 +89,9 @@ def test_load_lexicon_preserves_order_and_ids(tmp_path):
     assert bank.sense_count() == 4
     assert bank.polyhomographic
     assert not lookup(lex, "sofa").polyhomographic
+    # coarse tag -> (first homograph carrying it, number of homographs carrying it)
+    assert bank.by_tag == {"n": (1, 2), "v": (3, 1)}
+    assert lookup(lex, "sofa").by_tag == {"n": (1, 1)}
 
 
 def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path):
@@ -130,6 +134,22 @@ def test_load_lexicon_reports_the_offending_line(tmp_path):
     path.write_text(json.dumps(good) + "\n\n{broken\n", encoding="utf-8")
     with pytest.raises(LexiconError, match=r"lex\.jsonl:3.*invalid JSON"):
         load_lexicon(path)
+
+
+def test_load_lexicon_leaves_the_garbage_collector_as_it_was(tmp_path, fixtures_dir):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{broken\n", encoding="utf-8")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_lexicon(fixtures_dir / "pipeline_lexicon.jsonl")
+            assert gc.isenabled() is enabled
+            with pytest.raises(LexiconError):
+                load_lexicon(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_load_lexicon_rejects_duplicate_words_after_normalization(tmp_path):

@@ -36,7 +36,7 @@ def lex():
 
 
 def test_read_corpus_fixture_shape(fixtures_dir):
-    docs = read_corpus(fixtures_dir / "news_corpus.tsv")
+    docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     assert [d.doc_id for d in docs] == [f"article-{i}" for i in range(1, 6)]
     assert sum(len(d.tokens) for d in docs) == 209
     first = docs[0].tokens[1]
@@ -49,43 +49,43 @@ def test_read_corpus_fixture_shape(fixtures_dir):
 
 def test_read_corpus_assigns_implicit_ids_by_position(tmp_path):
     path = write_corpus(tmp_path, "a\tNN\n\nb\tNN\n\n\nc\tNN\n")
-    docs = read_corpus(path)
+    docs = list(read_corpus(path))
     assert [d.doc_id for d in docs] == ["doc1", "doc2", "doc3"]
     assert [len(d.tokens) for d in docs] == [1, 1, 1]
 
 
 def test_read_corpus_mixes_explicit_and_implicit_ids(tmp_path):
     path = write_corpus(tmp_path, "# doc: intro\na\tNN\n\nb\tNN\n")
-    docs = read_corpus(path)
+    docs = list(read_corpus(path))
     assert [d.doc_id for d in docs] == ["intro", "doc2"]
 
 
 def test_read_corpus_header_may_declare_an_empty_document(tmp_path):
-    docs = read_corpus(write_corpus(tmp_path, "# doc: empty\n"))
+    docs = list(read_corpus(write_corpus(tmp_path, "# doc: empty\n")))
     assert docs == [Document("empty", ())]
 
 
 def test_read_corpus_blank_line_after_header_does_not_split(tmp_path):
-    docs = read_corpus(write_corpus(tmp_path, "# doc: a\n\n\nx\tNN\n"))
+    docs = list(read_corpus(write_corpus(tmp_path, "# doc: a\n\n\nx\tNN\n")))
     assert [d.doc_id for d in docs] == ["a"]
     assert len(docs[0].tokens) == 1
 
 
 def test_read_corpus_ignores_a_bom_before_a_document_header(tmp_path):
-    docs = read_corpus(write_corpus(tmp_path, "\ufeff# doc: x\nbank\tNN\n"))
+    docs = list(read_corpus(write_corpus(tmp_path, "\ufeff# doc: x\nbank\tNN\n")))
     assert [d.doc_id for d in docs] == ["x"]
 
 
 def test_read_corpus_skips_comments_but_not_hash_tokens(tmp_path):
     path = write_corpus(tmp_path, "# a comment\nwell\tUH\n#\t#\n#word\tNN\n")
-    (doc,) = read_corpus(path)
+    (doc,) = list(read_corpus(path))
     assert [t.surface for t in doc.tokens] == ["well", "#"]
     assert doc.tokens[1].fine_tag == "#"
 
 
 def test_read_corpus_field_handling(tmp_path):
     path = write_corpus(tmp_path, "a\tNN\nb\tNN\tlem\nc\tNN\t\t2\nd\tNN\tlem\t3\n")
-    (doc,) = read_corpus(path)
+    (doc,) = list(read_corpus(path))
     assert [(t.lemma, t.gold_homograph_id) for t in doc.tokens] == [
         (None, None), ("lem", None), (None, 2), ("lem", 3),
     ]
@@ -110,13 +110,22 @@ def test_read_corpus_field_handling(tmp_path):
 )
 def test_read_corpus_rejects_malformed_input(tmp_path, text, message):
     with pytest.raises(CorpusError, match=message):
-        read_corpus(write_corpus(tmp_path, text))
+        list(read_corpus(write_corpus(tmp_path, text)))
+
+
+def test_read_corpus_yields_each_document_before_reading_on(tmp_path):
+    path = write_corpus(tmp_path, "# doc: a\nbank\tNN\n\n# doc: b\nbank\tNN\nbad line\n")
+    documents = read_corpus(path)
+    first = next(documents)
+    assert (first.doc_id, len(first.tokens)) == ("a", 1)
+    with pytest.raises(CorpusError, match=r"corpus\.tsv:6: expected 2 to 4"):
+        next(documents)
 
 
 def test_read_corpus_error_names_the_line(tmp_path):
     path = write_corpus(tmp_path, "ok\tNN\n\nbad\tNN\t\tzero\n")
     with pytest.raises(CorpusError, match=r"corpus\.tsv:3"):
-        read_corpus(path)
+        list(read_corpus(path))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +232,7 @@ def test_render_output_header_only_for_no_tokens():
 
 
 def test_full_fixture_run_matches_the_hand_traced_golden(fixtures_dir, news_lexicon, penn):
-    docs = read_corpus(fixtures_dir / "news_corpus.tsv")
+    docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     results = [r for doc in docs for r in tag_document(news_lexicon, penn, doc)]
     golden = (fixtures_dir / "news_corpus_tagged.golden").read_text("utf-8")
     assert render_output(results) == golden

@@ -1,6 +1,10 @@
 """Randomized invariants, each checked against an independent reference."""
 
+import json
+from importlib.resources import files
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +25,7 @@ from homograph_tagger import (
     render_output,
     tag_document,
 )
+from homograph_tagger.cli import main
 from homograph_tagger.util import pct_of
 from support import make_entry, make_lexicon, tok
 
@@ -208,6 +213,97 @@ def test_tagging_is_deterministic(news_lexicon, penn, news_words, data):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# the tag and eval commands against the oracles
+
+EVAL_COUNTS = (
+    "n_open_class", "n_unknown", "n_mono", "n_poly", "correct_mono", "correct_poly",
+    "fallback_count",
+)
+
+
+@pytest.fixture(scope="module")
+def news_records(fixtures_dir):
+    lines = (fixtures_dir / "pipeline_lexicon.jsonl").read_text("utf-8").splitlines()
+    return {record["word"].lower(): record for record in map(json.loads, lines)}
+
+
+@pytest.fixture(scope="module")
+def penn_table():
+    text = files("homograph_tagger").joinpath("data/penn_to_coarse.tsv").read_text("utf-8")
+    return oracles.parse_tag_table(text)
+
+
+@st.composite
+def corpus_token(draw, records):
+    """(surface, fine, lemma, gold): known, unknown and '#' surfaces, lemmas and gold ids."""
+    word = draw(st.sampled_from(sorted(records)))
+    surface = draw(st.sampled_from([word, word.upper(), word.capitalize(), "zzq" + word, "#"]))
+    fine = "#" if surface == "#" and draw(st.booleans()) else draw(st.sampled_from(PENN_FINE_TAGS))
+    lemma = draw(st.sampled_from([None, None, word, "zzq" + word]))
+    record = records.get((lemma or surface).lower())
+    n_homographs = len(record["homographs"]) if record else 3
+    gold = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=n_homographs)))
+    return surface, fine, lemma, gold
+
+
+@st.composite
+def corpus_documents(draw, records):
+    """Documents as (declared, tokens); a document without a `# doc:` header has tokens."""
+    declared = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    return [
+        (d, draw(st.lists(corpus_token(records), min_size=0 if d else 1, max_size=8)))
+        for d in declared
+    ]
+
+
+def corpus_text(documents, blank_before_header):
+    """The corpus file; a header follows the document before it directly unless blank_before_header."""
+    text = ""
+    for number, (declared, tokens) in enumerate(documents, start=1):
+        if number > 1:
+            text += "\n" if declared and not blank_before_header else "\n\n"
+        lines = [f"# doc: d{number}"] if declared else []
+        for surface, fine, lemma, gold in tokens:
+            fields = [surface, fine]
+            if lemma is not None or gold is not None:
+                fields.append(lemma or "")
+            if gold is not None:
+                fields.append(str(gold))
+            lines.append("\t".join(fields))
+        text += "\n".join(lines)
+    return text + "\n"
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(data=st.data())
+def test_tag_and_eval_commands_match_the_oracles(
+    fixtures_dir, tmp_path, news_records, penn_table, data
+):
+    documents = data.draw(corpus_documents(news_records))
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(corpus_text(documents, data.draw(st.booleans())), encoding="utf-8")
+    lexicon = fixtures_dir / "pipeline_lexicon.jsonl"
+    token_lists = [tokens for _, tokens in documents]
+    args = ["--lexicon", str(lexicon), "--corpus", str(corpus)]
+    runner = CliRunner()
+
+    tagged = runner.invoke(main, ["tag", *args])
+    assert tagged.exit_code == 0, tagged.stderr
+    expected = oracles.trace_tag(list(news_records.values()), *penn_table, token_lists)
+    assert tagged.stdout == expected
+
+    scored = runner.invoke(main, ["eval", *args, "--report-format", "structured"])
+    if any(gold is not None for tokens in token_lists for *_, gold in tokens):
+        assert scored.exit_code == 0, scored.stderr
+        report = json.loads(scored.stdout)
+        counts = oracles.trace_counts(list(news_records.values()), *penn_table, token_lists)
+        assert {name: report[name] for name in EVAL_COUNTS} == counts
+    else:
+        assert scored.exit_code == 1
+        assert "no gold homograph annotations" in scored.stderr
 
 
 # ---------------------------------------------------------------------------
