@@ -21,7 +21,6 @@ from .lexicon import (
     DisambCategory,
     Homograph,
     Lexicon,
-    SenseEntry,
     TaxonomyReport,
     WordTypeEntry,
     analyze_lexicon,
@@ -41,7 +40,6 @@ from .pipeline import (
     TaggedToken,
     TokenStatus,
     disambiguate_token,
-    lookup_key,
     read_corpus,
     render_output,
     render_tokens,

@@ -16,7 +16,8 @@ and renames it over the target only on success, so a failed or
 interrupted run leaves no output file and an existing one untouched.
 Stdout has no such guarantee: a run that fails part way may already
 have printed a prefix of its output; it still exits 1 (or 2) with one
-`error:` line on stderr.
+`error:` line on stderr. A run whose stdout pipe the reader closes early
+(`tag ... | head`) stops quietly: exit 1, nothing on stderr.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except TaggerDataError as exc:
             code, message = EXIT_DATA_ERROR, exc
+        except BrokenPipeError:
+            # click's own handler exits 1 without a message or a traceback
+            raise
         except OSError as exc:
             code, message = EXIT_USAGE_ERROR, exc
         print(f"error: {message}", file=sys.stderr)

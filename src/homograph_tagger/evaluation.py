@@ -14,8 +14,8 @@ from itertools import zip_longest
 from typing import Iterable
 
 from .errors import EvaluationError
-from .lexicon import Lexicon, lookup
-from .pipeline import SenseTaggedToken, TokenStatus, lookup_key
+from .lexicon import Lexicon, normalize_key
+from .pipeline import SenseTaggedToken, TokenStatus
 from .util import fmt_pct
 
 
@@ -55,8 +55,8 @@ def evaluate(
     """Score assignments against position-aligned gold homograph ids.
 
     A scored token is correct when its assigned homograph id equals the
-    gold id. Gold ids are range-checked against the token's word type;
-    the lexicon must be the one the results were produced with.
+    gold id. Gold ids are range-checked against the homograph count each
+    tagged token carries; the lexicon argument is not consulted.
 
     Both arguments are consumed once, in step, so they may be
     generators. An error in an earlier token is reported before a
@@ -72,34 +72,27 @@ def evaluate(
             raise EvaluationError(
                 f"results/gold length mismatch: {n_results} results, {n_gold} gold ids"
             )
-        if not tagged.open_class:
+        status = tagged.status
+        if status is TokenStatus.CLOSED_CLASS:
             continue
         n_open += 1
-        if tagged.status is TokenStatus.UNKNOWN_WORD:
+        if status is TokenStatus.UNKNOWN_WORD:
             n_unknown += 1
             continue
-        if tagged.status is TokenStatus.FALLBACK:
+        if status is TokenStatus.FALLBACK:
             fallbacks += 1
         if gold_id is None:
             continue
-        entry = lookup(lexicon, lookup_key(tagged.token))
-        if entry is None:
+        n_homographs = tagged.n_homographs
+        if not 1 <= gold_id <= n_homographs:
+            token = tagged.token
+            where = f"line {token.line}" if token.line is not None else f"token {token.index}"
             raise EvaluationError(
-                f"token {tagged.token.surface!r} is not in the lexicon;"
-                " were the results produced with a different lexicon?"
-            )
-        if not 1 <= gold_id <= len(entry.homographs):
-            where = (
-                f"line {tagged.token.line}"
-                if tagged.token.line is not None
-                else f"token {tagged.token.index}"
-            )
-            raise EvaluationError(
-                f"gold homograph id {gold_id} out of range 1..{len(entry.homographs)}"
-                f" for {entry.key!r} ({where})"
+                f"gold homograph id {gold_id} out of range 1..{n_homographs}"
+                f" for {normalize_key(token.lemma or token.surface)!r} ({where})"
             )
         correct = tagged.homograph_id == gold_id
-        if tagged.polyhomographic:
+        if n_homographs >= 2:
             n_poly += 1
             correct_poly += correct
         else:

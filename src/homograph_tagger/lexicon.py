@@ -10,8 +10,9 @@ A lexicon file holds one word type per line as a JSON record:
 
 Order is authoritative: homographs and senses are listed most frequent
 first, so position 1 is the most likely reading and ids are just
-1-based positions. Keys are normalized by lowercasing, both at load
-time and on lookup; no stemming or other conflation is applied.
+1-based positions, never stored. Keys are normalized by lowercasing,
+both at load time and on lookup; no stemming or other conflation is
+applied.
 
 Each word type carries a tag table, `by_tag`, built once when the entry
 is made: coarse tag -> (id of the first homograph carrying the tag,
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import LexiconError, VocabularyError
-from .util import fmt_pct, pct_of, undecodable
+from .util import fmt_pct, numbered_lines, pct_of
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -51,24 +52,21 @@ def normalize_key(surface: str) -> str:
 @cache
 def default_vocabulary() -> tuple[str, ...]:
     """The 17-tag coarse category vocabulary shipped with the package."""
+    # read_text reads \r\n and \r as \n, so lines end where numbered_lines ends them
     text = files("homograph_tagger").joinpath("data/coarse_tags.txt").read_text("utf-8")
-    return _parse_vocabulary(text.splitlines(), "<default vocabulary>")
+    return _parse_vocabulary(enumerate(text.split("\n"), start=1), "<default vocabulary>")
 
 
 def load_vocabulary(path: str | Path) -> tuple[str, ...]:
     """Load a vocabulary file: one coarse tag per line, '#' comments allowed."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise undecodable(path, VocabularyError) from None
-    return _parse_vocabulary(text.splitlines(), str(path))
+    with numbered_lines(path, VocabularyError) as lines:
+        return _parse_vocabulary(lines, str(path))
 
 
-def _parse_vocabulary(lines: Iterable[str], source: str) -> tuple[str, ...]:
+def _parse_vocabulary(lines: Iterable[tuple[int, str]], source: str) -> tuple[str, ...]:
     tags: list[str] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -97,25 +95,17 @@ class DisambCategory(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class SenseEntry:
-    """One numbered sense within a homograph. The definition is opaque text."""
-
-    sense_id: int
-    definition: str
-
-
-@dataclass(frozen=True, slots=True)
 class Homograph:
     """An ordered block of senses sharing one set of coarse POS tags.
 
-    homograph_id is the 1-based position of the block within its word
-    type; position is frequency rank. pos keeps source order and holds
-    no duplicates.
+    Its id is its 1-based position within its word type; position is
+    frequency rank. pos keeps source order and holds no duplicates.
+    senses holds the definitions, opaque text, in order: a sense's id
+    is its 1-based position.
     """
 
-    homograph_id: int
     pos: tuple[str, ...]
-    senses: tuple[SenseEntry, ...]
+    senses: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,9 +123,9 @@ class WordTypeEntry:
 
     def __post_init__(self):
         by_tag: dict[str, tuple[int, int]] = {}
-        for homograph in self.homographs:
+        for homograph_id, homograph in enumerate(self.homographs, start=1):
             for tag in homograph.pos:
-                first, count = by_tag.get(tag, (homograph.homograph_id, 0))
+                first, count = by_tag.get(tag, (homograph_id, 0))
                 by_tag[tag] = (first, count + 1)
         object.__setattr__(self, "by_tag", by_tag)
 
@@ -195,8 +185,8 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+        with numbered_lines(path, LexiconError) as lines:
+            for lineno, raw in lines:
                 line = raw.strip()
                 if not line:
                     continue
@@ -212,8 +202,6 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
                     )
                 first_line[entry.key] = lineno
                 entries.append(entry)
-    except UnicodeDecodeError:
-        raise undecodable(path, LexiconError) from None
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -258,8 +246,8 @@ def _entry_from_record(record, vocab: frozenset[str], source: str, lineno: int) 
                     f"{word!r}: homograph {position}: sense {sense_position}"
                     " must be an object with a string 'def'"
                 )
-            senses.append(SenseEntry(sense_position, raw_sense["def"]))
-        homographs.append(Homograph(position, tuple(seen_tags), tuple(senses)))
+            senses.append(raw_sense["def"])
+        homographs.append(Homograph(tuple(seen_tags), tuple(senses)))
     return WordTypeEntry(normalize_key(word), tuple(homographs))
 
 
@@ -272,7 +260,7 @@ def dump_lexicon(lexicon: Lexicon, path: str | Path) -> None:
                 "homographs": [
                     {
                         "pos": list(h.pos),
-                        "senses": [{"def": s.definition} for s in h.senses],
+                        "senses": [{"def": definition} for definition in h.senses],
                     }
                     for h in entry.homographs
                 ],

@@ -27,7 +27,8 @@ next holds one document in memory, not the corpus. Tokens are named
 tuples. Tagging a token is one lookup of its fine tag, one lowercased
 lookup of its word type and one lookup of the coarse tag in that word
 type's `by_tag` table (see `lexicon`), which holds the first homograph
-carrying each tag.
+carrying each tag. A tagged token carries its word type's homograph
+count, so a scorer needs no second lookup.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import CorpusError, UnmappedTagError
 from .lexicon import Lexicon, normalize_key
 from .tagmap import TagMapping
-from .util import undecodable
+from .util import numbered_lines
 
 OUTPUT_HEADER = "#homograph-tagger v1"
 _MISSING = "-"
@@ -89,25 +90,25 @@ class Document:
 class SenseTaggedToken(NamedTuple):
     """A token after homograph assignment.
 
-    polyhomographic is True only for known open-class tokens whose word
-    type has two or more homographs. coarse_tag is None only for tokens
+    n_homographs is the number of homographs of the token's word type
+    for a known open-class token (status M or F), and 0 otherwise, so
+    only those can be polyhomographic. coarse_tag is None only for tokens
     whose fine tag was unmapped in lenient mode.
     """
 
     token: TaggedToken
     coarse_tag: str | None
-    open_class: bool
     status: TokenStatus
     homograph_id: int | None
-    polyhomographic: bool
+    n_homographs: int
 
+    @property
+    def open_class(self) -> bool:
+        return self.status is not _CLOSED
 
-def lookup_key(token: TaggedToken) -> str:
-    """The form a token is looked up by: its lemma when given, else the surface.
-
-    Left unnormalized, since `lookup` normalizes what it is given.
-    """
-    return token.lemma if token.lemma else token.surface
+    @property
+    def polyhomographic(self) -> bool:
+        return self.n_homographs >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -130,47 +131,44 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
     ordinal = 0
     current_id: str | None = None
     tokens: list[TaggedToken] = []
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line or line.isspace():
-                    # blank lines end a document once it has tokens; a freshly
-                    # declared, still-empty document stays open
-                    if tokens:
+    with numbered_lines(path, CorpusError) as lines:
+        for lineno, raw in lines:
+            line = raw.rstrip("\n")
+            if not line or line.isspace():
+                # blank lines end a document once it has tokens; a freshly
+                # declared, still-empty document stays open
+                if tokens:
+                    yield Document(current_id, tuple(tokens))
+                    current_id, tokens = None, []
+                continue
+            if line[0] == "#" and line[1:2] != "\t":
+                if line.startswith("# doc:"):
+                    doc_id = line[len("# doc:"):].strip()
+                    if not doc_id:
+                        raise CorpusError(f"{source}:{lineno}: document header with empty id")
+                    if current_id is not None:
                         yield Document(current_id, tuple(tokens))
-                        current_id, tokens = None, []
-                    continue
-                if line[0] == "#" and line[1:2] != "\t":
-                    if line.startswith("# doc:"):
-                        doc_id = line[len("# doc:"):].strip()
-                        if not doc_id:
-                            raise CorpusError(f"{source}:{lineno}: document header with empty id")
-                        if current_id is not None:
-                            yield Document(current_id, tuple(tokens))
-                        ordinal += 1
-                        current_id, tokens = _new_id(doc_id, seen, source, lineno), []
-                    continue
-                fields = line.split("\t")
-                n_fields = len(fields)
-                if not 2 <= n_fields <= 4:
-                    raise CorpusError(
-                        f"{source}:{lineno}: expected 2 to 4 tab-separated fields,"
-                        f" got {n_fields}"
-                    )
-                surface, fine = fields[0], fields[1]
-                if not surface:
-                    raise CorpusError(f"{source}:{lineno}: empty surface field")
-                if not fine:
-                    raise CorpusError(f"{source}:{lineno}: empty fine tag field")
-                lemma = (fields[2] or None) if n_fields >= 3 else None
-                gold = _gold_id(fields[3], source, lineno) if n_fields == 4 and fields[3] else None
-                if current_id is None:
                     ordinal += 1
-                    current_id = _new_id(f"doc{ordinal}", seen, source, lineno)
-                tokens.append(_make(TaggedToken, (len(tokens), surface, fine, lemma, gold, lineno)))
-    except UnicodeDecodeError:
-        raise undecodable(path, CorpusError) from None
+                    current_id, tokens = _new_id(doc_id, seen, source, lineno), []
+                continue
+            fields = line.split("\t")
+            n_fields = len(fields)
+            if not 2 <= n_fields <= 4:
+                raise CorpusError(
+                    f"{source}:{lineno}: expected 2 to 4 tab-separated fields,"
+                    f" got {n_fields}"
+                )
+            surface, fine = fields[0], fields[1]
+            if not surface:
+                raise CorpusError(f"{source}:{lineno}: empty surface field")
+            if not fine:
+                raise CorpusError(f"{source}:{lineno}: empty fine tag field")
+            lemma = (fields[2] or None) if n_fields >= 3 else None
+            gold = _gold_id(fields[3], source, lineno) if n_fields == 4 and fields[3] else None
+            if current_id is None:
+                ordinal += 1
+                current_id = _new_id(f"doc{ordinal}", seen, source, lineno)
+            tokens.append(_make(TaggedToken, (len(tokens), surface, fine, lemma, gold, lineno)))
     if current_id is not None:
         yield Document(current_id, tuple(tokens))
     if not seen:
@@ -254,18 +252,18 @@ def _tag_tokens(
         if coarse not in open_class or fine in proper:
             if coarse is None and strict and fine not in proper:
                 raise UnmappedTagError(fine, line=token.line)
-            results.append(_make(SenseTaggedToken, (token, coarse, False, _CLOSED, None, False)))
+            results.append(_make(SenseTaggedToken, (token, coarse, _CLOSED, None, 0)))
             continue
         entry = find(normalize_key(token.lemma or token.surface))
         if entry is None:
-            results.append(_make(SenseTaggedToken, (token, coarse, True, _UNKNOWN, None, False)))
+            results.append(_make(SenseTaggedToken, (token, coarse, _UNKNOWN, None, 0)))
             continue
-        poly = entry.polyhomographic
+        n_homographs = len(entry.homographs)
         hit = entry.by_tag.get(coarse)
         if hit is None:
-            results.append(_make(SenseTaggedToken, (token, coarse, True, _FALLBACK, 1, poly)))
+            results.append(_make(SenseTaggedToken, (token, coarse, _FALLBACK, 1, n_homographs)))
         else:
-            results.append(_make(SenseTaggedToken, (token, coarse, True, _MATCHED, hit[0], poly)))
+            results.append(_make(SenseTaggedToken, (token, coarse, _MATCHED, hit[0], n_homographs)))
     return results
 
 
@@ -284,7 +282,7 @@ def render_tokens(results: Iterable[SenseTaggedToken]) -> str:
     return "".join([
         f"{token.index}\t{token.surface}\t{_MISSING if coarse is None else coarse}"
         f"\t{status._value_}\t{_MISSING if homograph_id is None else homograph_id}\n"
-        for token, coarse, _, status, homograph_id, _ in results
+        for token, coarse, status, homograph_id, _ in results
     ])
 
 

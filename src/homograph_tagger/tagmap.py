@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .errors import TagMapError
 from .lexicon import default_vocabulary
-from .util import undecodable
+from .util import numbered_lines
 
 DEFAULT_OPEN_CLASS = frozenset({"n", "v", "adj", "adv"})
 
@@ -51,26 +51,23 @@ class TagMapping:
 @cache
 def default_tagmap(vocabulary: tuple[str, ...] | None = None) -> TagMapping:
     """The shipped Penn-Treebank-to-coarse table (48 fine tags)."""
+    # read_text reads \r\n and \r as \n, so lines end where numbered_lines ends them
     text = files("homograph_tagger").joinpath("data/penn_to_coarse.tsv").read_text("utf-8")
-    return _parse_tagmap(text.splitlines(), "<default tag map>", vocabulary)
+    return _parse_tagmap(enumerate(text.split("\n"), start=1), "<default tag map>", vocabulary)
 
 
 def load_tagmap(path: str | Path, vocabulary: Iterable[str] | None = None) -> TagMapping:
     """Load a mapping file, validating every image tag against the vocabulary."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise undecodable(path, TagMapError) from None
-    return _parse_tagmap(text.splitlines(), str(path), vocabulary)
+    with numbered_lines(path, TagMapError) as lines:
+        return _parse_tagmap(lines, str(path), vocabulary)
 
 
-def _parse_tagmap(lines: Iterable[str], source: str, vocabulary) -> TagMapping:
+def _parse_tagmap(lines: Iterable[tuple[int, str]], source: str, vocabulary) -> TagMapping:
     vocab = frozenset(vocabulary) if vocabulary is not None else frozenset(default_vocabulary())
     entries: dict[str, str] = {}
     open_class: frozenset[str] | None = None
     proper: frozenset[str] | None = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in lines:
         line = raw.rstrip()
         if not line:
             continue

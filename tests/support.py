@@ -3,7 +3,6 @@
 from homograph_tagger import (
     Homograph,
     Lexicon,
-    SenseEntry,
     TaggedToken,
     WordTypeEntry,
     default_vocabulary,
@@ -14,11 +13,8 @@ def make_homograph(homograph_id, pos, senses=1):
     if isinstance(pos, str):
         # a bare "nv" would silently iterate per character
         raise TypeError("pos must be a sequence of tags, not a string")
-    sense_entries = tuple(
-        SenseEntry(i, f"sense {i} of homograph {homograph_id}")
-        for i in range(1, senses + 1)
-    )
-    return Homograph(homograph_id, tuple(pos), sense_entries)
+    definitions = tuple(f"sense {i} of homograph {homograph_id}" for i in range(1, senses + 1))
+    return Homograph(tuple(pos), definitions)
 
 
 def make_entry(word, *pos_groups, senses=None):

@@ -2,10 +2,15 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from homograph_tagger import OUTPUT_HEADER
 from homograph_tagger.cli import main
 
 
@@ -494,3 +499,98 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "validate" in proc.stdout and "eval" in proc.stdout
+
+
+def test_a_closed_stdout_pipe_ends_the_run_quietly(fixtures_dir, tmp_path):
+    # 60 renamed copies of the fixture corpus render to about 190 KB, more
+    # than a pipe holds, so the run is still writing when the reader stops
+    text = (fixtures_dir / "news_corpus.tsv").read_text("utf-8")
+    corpus = tmp_path / "big.tsv"
+    corpus.write_text(
+        "\n".join(text.replace("# doc: ", f"# doc: {n}-") for n in range(60)), encoding="utf-8"
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "homograph_tagger", "tag",
+            "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", str(corpus),
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == f"{OUTPUT_HEADER}\n".encode()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert b"error:" not in stderr
+    assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
+
+
+# ---------------------------------------------------------------------------
+# arbitrary bytes in any input
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+_DATA = files("homograph_tagger").joinpath("data")
+_INPUTS = {
+    "--lexicon": _FIXTURES / "pipeline_lexicon.jsonl",
+    "--vocab": _DATA.joinpath("coarse_tags.txt"),
+    "--tagmap": _DATA.joinpath("penn_to_coarse.tsv"),
+    "--corpus": _FIXTURES / "news_corpus.tsv",
+}
+_READS = {
+    "validate": ("--lexicon", "--vocab", "--tagmap"),
+    "analyze": ("--lexicon", "--vocab"),
+    "tag": tuple(_INPUTS),
+    "eval": tuple(_INPUTS),
+}
+# line endings, a BOM and odd Unicode; pieces of well-formed lines; bytes
+# that are not UTF-8 (a stray continuation byte, a truncated sequence, 0xff)
+_odd = st.sampled_from(
+    [c.encode() for c in ("\ufeff", "\n", "\r", "\r\n", "\u2028", "\x85", "\x0c", "\t", "#")]
+)
+_pieces = st.sampled_from([
+    b"# doc: d\n", b"!open: n v\n", b"n\n", b"NN\tn\n", b"bank\tNN\n", b"bank\tVB\tbank\t2\n",
+    b'{"word":"bank","homographs":[{"pos":["n"],"senses":[{"def":"x"}]}]}\n',
+    b'{"word":"b","homographs":[{"pos":["n","v"],"senses":[{"def":"x"}]},{"pos":["v"],"senses":[]}]}\n',
+])
+_not_utf8 = st.sampled_from([b"\xe9", b"\xff", b"\xc3", b"\xe2\x80"])
+# from mild to hostile, so that some runs get past the damage and succeed
+_fuzzed_bytes = st.one_of(
+    st.lists(_odd, max_size=6),
+    st.lists(_odd | _pieces, max_size=8),
+    st.lists(_odd | _pieces | _not_utf8 | st.binary(max_size=4), max_size=10),
+).map(b"".join)
+_fuzzed_run = st.sampled_from(sorted(_READS)).flatmap(
+    lambda command: st.tuples(st.just(command), st.sampled_from(_READS[command]))
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(run=_fuzzed_run, data=_fuzzed_bytes, splice_at=st.none() | st.integers(min_value=0))
+def test_any_input_bytes_give_output_or_one_error_line(runner, tmp_path, run, data, splice_at):
+    """The fuzzed file is the bytes alone, or the bytes put in the well-formed file at a line start."""
+    command, fuzzed = run
+    if splice_at is not None:
+        well_formed = _INPUTS[fuzzed].read_bytes()
+        starts = [0] + [i + 1 for i, byte in enumerate(well_formed) if byte == ord("\n")]
+        at = starts[splice_at % len(starts)]
+        data = well_formed[:at] + data + well_formed[at:]
+    path = tmp_path / "fuzzed"
+    path.write_bytes(data)
+    args = [command]
+    for option in _READS[command]:
+        args += [option, str(path if option == fuzzed else _INPUTS[option])]
+    result = runner.invoke(main, args)
+    # an exception that escaped the CLI would be kept here instead of the exit
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    elif command == "tag":
+        header, *lines, last = result.stdout.split("\n")
+        assert header == OUTPUT_HEADER and last == ""
+        assert all(len(line.split("\t")) == 5 for line in lines)

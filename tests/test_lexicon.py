@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -65,6 +66,17 @@ def test_load_vocabulary_rejects_malformed_tag(tmp_path):
         load_vocabulary(path)
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+def test_a_vocabulary_line_ends_only_at_a_line_break(tmp_path, separator):
+    # str.splitlines would end lines at the separator: 'x' would become a tag
+    # and the bad line would be numbered 5
+    path = tmp_path / "tags.txt"
+    path.write_text(f"# comment{separator}x\nn\nv{separator}adj\n", encoding="utf-8")
+    message = f"tags.txt:3: invalid coarse tag {re.escape(repr(f'v{separator}adj'))}"
+    with pytest.raises(VocabularyError, match=message):
+        load_vocabulary(path)
+
+
 # ---------------------------------------------------------------------------
 # loading and validation
 
@@ -82,10 +94,11 @@ def test_load_lexicon_preserves_order_and_ids(tmp_path):
     lex = load_lexicon(path)
     assert len(lex) == 2
     bank = lookup(lex, "bank")
-    assert [h.homograph_id for h in bank.homographs] == [1, 2, 3]
+    # ids are 1-based positions, so checking the order checks them
+    assert len(bank.homographs) == 3
     assert [h.pos for h in bank.homographs] == [("n",), ("n",), ("v",)]
-    assert bank.homographs[0].senses[1].definition == "river"
-    assert bank.homographs[0].senses[1].sense_id == 2
+    assert bank.homographs[2].senses == ("to bank",)
+    assert bank.homographs[0].senses == ("money", "river")
     assert bank.sense_count() == 4
     assert bank.polyhomographic
     assert not lookup(lex, "sofa").polyhomographic

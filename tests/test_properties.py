@@ -93,7 +93,7 @@ def test_analysis_matches_the_recount_oracle(entries):
         {
             "word": e.key,
             "homographs": [
-                {"pos": list(h.pos), "senses": [{"def": s.definition} for s in h.senses]}
+                {"pos": list(h.pos), "senses": [{"def": s} for s in h.senses]}
                 for h in e.homographs
             ],
         }
@@ -186,10 +186,12 @@ def test_every_token_is_accounted_for(news_lexicon, penn, news_words, data):
     docs = data.draw(random_documents(news_words))
     for doc in docs:
         for result in tag_document(news_lexicon, penn, doc):
+            assert result.polyhomographic == (result.n_homographs >= 2)
             if result.status in (TokenStatus.MATCHED, TokenStatus.FALLBACK):
                 assert result.open_class
                 assert result.homograph_id is not None
                 entry = lookup(news_lexicon, result.token.lemma or result.token.surface)
+                assert result.n_homographs == len(entry.homographs)
                 assert result.polyhomographic == (len(entry.homographs) >= 2)
                 if result.status is TokenStatus.MATCHED:
                     chosen = entry.homographs[result.homograph_id - 1]
@@ -199,6 +201,7 @@ def test_every_token_is_accounted_for(news_lexicon, penn, news_words, data):
                     assert all(result.coarse_tag not in h.pos for h in entry.homographs)
             else:
                 assert result.homograph_id is None
+                assert result.n_homographs == 0
                 if result.status is TokenStatus.UNKNOWN_WORD:
                     assert result.open_class
                 else:

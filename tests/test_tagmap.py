@@ -88,6 +88,15 @@ def test_load_tagmap_rejects_malformed_files(tmp_path, text, message):
         load_tagmap(write_map(tmp_path, text))
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+def test_a_tag_map_line_ends_only_at_a_line_break(tmp_path, separator):
+    # str.splitlines would end lines at the separator and so map NN, JJ and RB
+    mapping = load_tagmap(write_map(tmp_path, f"# comment{separator}NN\tn\nVB\tv\n"))
+    assert mapping.entries == {"VB": "v"}
+    with pytest.raises(TagMapError, match="map.tsv:2: expected FINE<TAB>COARSE"):
+        load_tagmap(write_map(tmp_path, f"VB\tv\nJJ\tadj{separator}RB\tadv\n"))
+
+
 def test_load_tagmap_validates_against_a_custom_vocabulary(tmp_path):
     path = write_map(tmp_path, "!open: noun\nNN\tnoun\n")
     mapping = load_tagmap(path, vocabulary=["noun"])
