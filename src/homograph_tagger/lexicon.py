@@ -18,7 +18,15 @@ Each word type carries a tag table, `by_tag`, built once when the entry
 is made: coarse tag -> (id of the first homograph carrying the tag,
 number of homographs carrying it). The tagger reads the first element
 (one dict lookup per token instead of a scan of the homographs) and the
-taxonomy reads the second.
+taxonomy reads the second. Homographs and entries are named tuples.
+
+The loader validates each record in one walk that also builds its
+homographs, then derives the tag table from them, with the cyclic
+garbage collector paused until the Lexicon and its index exist. The
+lexicon holds no reference cycles, so the collector can never free any
+of it; a caller that keeps it for the rest of the process should freeze
+it (`gc.freeze()`) before the next collection, as the CLI does, so that
+no later full collection scans it again.
 """
 
 from __future__ import annotations
@@ -32,16 +40,23 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib.resources import files
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
 from .util import fmt_pct, numbered_lines, pct_of
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+# _new_tuple(Cls, fields) builds the NamedTuple Cls without running its Python-level __new__
+_new_tuple = tuple.__new__
 
 
 def normalize_key(surface: str) -> str:
-    """Normalize a headword or surface form to its lookup key."""
+    """Normalize a headword or surface form to its lookup key.
+
+    The key is the lowercased string, nothing more: no Unicode
+    normalization and no casefold(), each of which would cost a call per
+    token. An NFD spelling thus does not match an NFC headword.
+    """
     return surface.lower()
 
 
@@ -94,8 +109,7 @@ class DisambCategory(enum.Enum):
     NO_DISAMBIGUATION = "no-disambiguation"
 
 
-@dataclass(frozen=True, slots=True)
-class Homograph:
+class Homograph(NamedTuple):
     """An ordered block of senses sharing one set of coarse POS tags.
 
     Its id is its 1-based position within its word type; position is
@@ -108,26 +122,45 @@ class Homograph:
     senses: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class WordTypeEntry:
+class _WordTypeFields(NamedTuple):
+    key: str
+    homographs: tuple[Homograph, ...]
+    by_tag: dict[str, tuple[int, int]]
+
+
+class WordTypeEntry(_WordTypeFields):
     """A normalized headword, its ordered homographs and its tag table.
 
     by_tag maps each coarse tag that some homograph carries to the id of
     the first homograph carrying it and the number carrying it. It is
-    derived from homographs on construction; treat it as read-only.
+    derived from homographs whenever an entry is made, so it takes no
+    part in hashing or repr; treat it as read-only.
     """
 
-    key: str
-    homographs: tuple[Homograph, ...]
-    by_tag: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        by_tag: dict[str, tuple[int, int]] = {}
-        for homograph_id, homograph in enumerate(self.homographs, start=1):
-            for tag in homograph.pos:
-                first, count = by_tag.get(tag, (homograph_id, 0))
-                by_tag[tag] = (first, count + 1)
-        object.__setattr__(self, "by_tag", by_tag)
+    def __new__(cls, key: str, homographs: tuple[Homograph, ...]) -> WordTypeEntry:
+        return _new_tuple(cls, (key, homographs, _tag_table(homographs)))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> WordTypeEntry:
+        # like the constructor, from key and homographs
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> WordTypeEntry:
+        return WordTypeEntry(
+            changes.pop("key", self.key), changes.pop("homographs", self.homographs), **changes
+        )
+
+    def __getnewargs__(self) -> tuple[str, tuple[Homograph, ...]]:
+        # pickle and copy call __new__ with these
+        return self.key, self.homographs
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.homographs))
+
+    def __repr__(self) -> str:
+        return f"WordTypeEntry(key={self.key!r}, homographs={self.homographs!r})"
 
     def sense_count(self) -> int:
         return sum(len(h.senses) for h in self.homographs)
@@ -160,6 +193,16 @@ def lookup(lexicon: Lexicon, surface: str) -> WordTypeEntry | None:
     return lexicon._index.get(normalize_key(surface))
 
 
+def _tag_table(homographs: Iterable[Homograph]) -> dict[str, tuple[int, int]]:
+    """Coarse tag -> (id of the first homograph carrying it, number carrying it)."""
+    by_tag: dict[str, tuple[int, int]] = {}
+    for homograph_id, homograph in enumerate(homographs, start=1):
+        for tag in homograph.pos:
+            first, count = by_tag.get(tag, (homograph_id, 0))
+            by_tag[tag] = (first, count + 1)
+    return by_tag
+
+
 # ---------------------------------------------------------------------------
 # loading and serialization
 
@@ -172,19 +215,23 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     tags, and empty homograph or sense lists are rejected with the
     offending line number in the message.
 
-    The cyclic garbage collector is paused while the file loads and put
-    back as it was afterwards: the entries hold no reference cycles, so
-    it would free nothing, yet its full passes over the growing lexicon
-    take about a third of the load time.
+    The cyclic garbage collector is paused until the Lexicon and its
+    index exist, then put back as it was: the entries hold no reference
+    cycles, so a collection during the load would free nothing, yet each
+    full pass rescans the growing lexicon. Keeping the loaded lexicon out
+    of later collections is the caller's part, since only the caller
+    knows how long it lives: the CLI freezes it (see `cli`); a library
+    caller whose collector is on pays one pass over it at its next
+    collection.
     """
-    vocab = tuple(vocabulary) if vocabulary is not None else default_vocabulary()
-    vocab_set = frozenset(vocab)
-    source = str(path)
-    entries: list[WordTypeEntry] = []
-    first_line: dict[str, int] = {}
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        vocab = tuple(vocabulary) if vocabulary is not None else default_vocabulary()
+        vocab_set = frozenset(vocab)
+        source = str(path)
+        entries: list[WordTypeEntry] = []
+        first_line: dict[str, int] = {}
         with numbered_lines(path, LexiconError) as lines:
             for lineno, raw in lines:
                 line = raw.strip()
@@ -194,6 +241,15 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise LexiconError(f"{source}:{lineno}: invalid JSON: {exc.msg}") from None
+                except RecursionError:
+                    raise LexiconError(
+                        f"{source}:{lineno}: invalid JSON: nested too deeply"
+                    ) from None
+                except ValueError:
+                    # json's one other ValueError: more digits than int() converts
+                    raise LexiconError(
+                        f"{source}:{lineno}: invalid JSON: integer too long"
+                    ) from None
                 entry = _entry_from_record(record, vocab_set, source, lineno)
                 if entry.key in first_line:
                     raise LexiconError(
@@ -202,53 +258,66 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
                     )
                 first_line[entry.key] = lineno
                 entries.append(entry)
+        return Lexicon(vocabulary=vocab, entries=tuple(entries))
     finally:
         if gc_was_enabled:
             gc.enable()
-    return Lexicon(vocabulary=vocab, entries=tuple(entries))
 
 
 def _entry_from_record(record, vocab: frozenset[str], source: str, lineno: int) -> WordTypeEntry:
-    def bad(message: str) -> LexiconError:
-        return LexiconError(f"{source}:{lineno}: {message}")
+    """Validate one decoded record and build its entry, in one walk.
 
+    Each homograph is checked and built before the next one is read; the
+    first failed check raises.
+    """
     if not isinstance(record, dict):
-        raise bad("record must be a JSON object")
+        raise LexiconError(f"{source}:{lineno}: record must be a JSON object")
     word = record.get("word")
     if not isinstance(word, str) or not word:
-        raise bad("'word' must be a non-empty string")
+        raise LexiconError(f"{source}:{lineno}: 'word' must be a non-empty string")
     raw_homographs = record.get("homographs")
     if not isinstance(raw_homographs, list) or not raw_homographs:
-        raise bad(f"{word!r}: 'homographs' must be a non-empty list")
+        raise LexiconError(f"{source}:{lineno}: {word!r}: 'homographs' must be a non-empty list")
     homographs = []
     for position, raw in enumerate(raw_homographs, start=1):
         if not isinstance(raw, dict):
-            raise bad(f"{word!r}: homograph {position} must be a JSON object")
+            raise LexiconError(
+                f"{source}:{lineno}: {word!r}: homograph {position} must be a JSON object"
+            )
         pos = raw.get("pos")
         if not isinstance(pos, list) or not pos:
-            raise bad(f"{word!r}: homograph {position}: 'pos' must be a non-empty list")
-        seen_tags: list[str] = []
-        for tag in pos:
+            raise _homograph_error(source, lineno, word, position, "'pos' must be a non-empty list")
+        for index, tag in enumerate(pos):
             if not isinstance(tag, str):
-                raise bad(f"{word!r}: homograph {position}: pos tags must be strings")
+                raise _homograph_error(source, lineno, word, position, "pos tags must be strings")
             if tag not in vocab:
-                raise bad(f"{word!r}: homograph {position}: unknown coarse tag {tag!r}")
-            if tag in seen_tags:
-                raise bad(f"{word!r}: homograph {position}: duplicate pos tag {tag!r}")
-            seen_tags.append(tag)
+                raise _homograph_error(
+                    source, lineno, word, position, f"unknown coarse tag {tag!r}"
+                )
+            if index and tag in pos[:index]:
+                raise _homograph_error(source, lineno, word, position, f"duplicate pos tag {tag!r}")
         raw_senses = raw.get("senses")
         if not isinstance(raw_senses, list) or not raw_senses:
-            raise bad(f"{word!r}: homograph {position}: 'senses' must be a non-empty list")
+            raise _homograph_error(
+                source, lineno, word, position, "'senses' must be a non-empty list"
+            )
         senses = []
-        for sense_position, raw_sense in enumerate(raw_senses, start=1):
-            if not isinstance(raw_sense, dict) or not isinstance(raw_sense.get("def"), str):
-                raise bad(
-                    f"{word!r}: homograph {position}: sense {sense_position}"
-                    " must be an object with a string 'def'"
+        for sense in raw_senses:
+            definition = sense.get("def") if isinstance(sense, dict) else None
+            if not isinstance(definition, str):
+                raise _homograph_error(
+                    source, lineno, word, position,
+                    f"sense {len(senses) + 1} must be an object with a string 'def'",
                 )
-            senses.append(raw_sense["def"])
-        homographs.append(Homograph(tuple(seen_tags), tuple(senses)))
+            senses.append(definition)
+        homographs.append(_new_tuple(Homograph, (tuple(pos), tuple(senses))))
     return WordTypeEntry(normalize_key(word), tuple(homographs))
+
+
+def _homograph_error(
+    source: str, lineno: int, word: str, position: int, message: str
+) -> LexiconError:
+    return LexiconError(f"{source}:{lineno}: {word!r}: homograph {position}: {message}")
 
 
 def dump_lexicon(lexicon: Lexicon, path: str | Path) -> None:

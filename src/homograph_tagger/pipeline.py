@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -59,11 +60,16 @@ class TokenStatus(enum.Enum):
     MATCHED = "M"
     FALLBACK = "F"
 
+    # members are singletons compared by identity, so hash by identity too:
+    # a C slot, where Enum.__hash__ is a Python function run per token
+    __hash__ = object.__hash__
+
 
 _CLOSED = TokenStatus.CLOSED_CLASS
 _UNKNOWN = TokenStatus.UNKNOWN_WORD
 _MATCHED = TokenStatus.MATCHED
 _FALLBACK = TokenStatus.FALLBACK
+_status_of = attrgetter("status")
 
 
 class TaggedToken(NamedTuple):
@@ -288,4 +294,4 @@ def render_tokens(results: Iterable[SenseTaggedToken]) -> str:
 
 def status_counts(results: Iterable[SenseTaggedToken]) -> Counter[TokenStatus]:
     """Tally of token statuses, for run summaries."""
-    return Counter(tagged.status for tagged in results)
+    return Counter(map(_status_of, results))

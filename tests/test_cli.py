@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homograph_tagger import OUTPUT_HEADER
+from homograph_tagger import cli
 from homograph_tagger.cli import main
 
 
@@ -100,6 +102,31 @@ def test_undecodable_input_names_the_first_bad_line(runner, fixtures_dir, tmp_pa
     )
     assert result.exit_code == 1
     assert result.stderr == f"error: {corpus}:4: not valid UTF-8\n"
+
+
+_RECORD = '{"word":"w","homographs":[{"pos":["n"],"senses":[{"def":"d"}]}]'
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[" * 100_000, "nested too deeply"),
+        (_RECORD + ',"n":' + "7" * 5000 + "}", "integer too long"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_rejected_without_a_decode_error_is_a_data_error(runner, tmp_path, line, message):
+    # json.loads raises RecursionError and ValueError for these, not JSONDecodeError
+    lexicon = tmp_path / "lex.jsonl"
+    lexicon.write_text(f"{_RECORD}}}\n{line}\n", encoding="utf-8")
+    result = invoke(runner, "validate", "--lexicon", lexicon)
+    if message == "integer too long" and not hasattr(sys, "get_int_max_str_digits"):
+        # without a digit limit (Python before 3.11) the long integer is just data
+        assert result.exit_code == 0, result.stderr
+        return
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {lexicon}:2: invalid JSON: {message}\n"
 
 
 def test_validate_ignores_a_leading_bom_in_every_input(runner, tmp_path):
@@ -486,6 +513,75 @@ def test_eval_gold_out_of_range_fails(runner, fixtures_dir, tmp_path):
     )
     assert result.exit_code == 1
     assert "out of range" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# the garbage collector
+
+
+def _tag_fixture(runner, fixtures_dir, lexicon):
+    return invoke(
+        runner, "tag", "--lexicon", lexicon, "--corpus", fx(fixtures_dir, "news_corpus.tsv")
+    )
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("lexicon_ok", [True, False], ids=["ok", "data-error"])
+def test_a_run_leaves_the_garbage_collector_as_it_was(
+    runner, fixtures_dir, tmp_path, enabled, lexicon_ok
+):
+    if lexicon_ok:
+        lexicon = fx(fixtures_dir, "pipeline_lexicon.jsonl")
+    else:
+        lexicon = tmp_path / "bad.jsonl"
+        lexicon.write_text('{"word": "x"}\n', encoding="utf-8")
+    was_enabled = gc.isenabled()
+    # the run unfreezes what it froze only when nothing was frozen before it
+    gc.unfreeze()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = _tag_fixture(runner, fixtures_dir, lexicon)
+        after = (gc.isenabled(), gc.get_freeze_count())
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert result.exit_code == (0 if lexicon_ok else 1), result.stderr
+    assert after == (enabled, 0)
+
+
+def test_no_collection_runs_between_the_lexicon_load_and_the_freeze(
+    runner, fixtures_dir, monkeypatch
+):
+    events = []
+    load, freeze = cli.load_lexicon, gc.freeze
+
+    def probed_load(*args):
+        events.append("load")
+        return load(*args)
+
+    def probed_freeze():
+        # with as many young objects as the load leaves, the next allocation
+        # would start a collection if the collector were on
+        events.append("freeze" if gc.get_count()[0] > gc.get_threshold()[0] else "freeze, none due")
+        freeze()
+
+    def probe(phase, info):
+        if phase == "start":
+            events.append("collect")
+
+    monkeypatch.setattr(cli, "load_lexicon", probed_load)
+    monkeypatch.setattr(gc, "freeze", probed_freeze)
+    was_enabled = gc.isenabled()
+    gc.unfreeze()
+    gc.callbacks.append(probe)
+    try:
+        result = _tag_fixture(runner, fixtures_dir, fx(fixtures_dir, "pipeline_lexicon.jsonl"))
+        after = (gc.isenabled(), gc.get_freeze_count())
+    finally:
+        gc.callbacks.remove(probe)
+    assert result.exit_code == 0, result.stderr
+    start = events.index("load")
+    assert events[start:start + 2] == ["load", "freeze"], events
+    assert after == (was_enabled, 0)
 
 
 # ---------------------------------------------------------------------------

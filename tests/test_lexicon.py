@@ -1,5 +1,6 @@
 import gc
 import json
+import pickle
 import re
 from dataclasses import asdict
 
@@ -188,10 +189,26 @@ def test_dump_then_load_round_trips(tmp_path, news_lexicon):
     path = tmp_path / "out.jsonl"
     dump_lexicon(news_lexicon, path)
     assert load_lexicon(path) == news_lexicon
+    assert pickle.loads(pickle.dumps(news_lexicon)) == news_lexicon
     # one record per line, compact encoding
     first = path.read_text("utf-8").splitlines()[0]
     assert json.loads(first)["word"]
     assert '": ' not in first
+
+
+def test_entries_and_lexicons_hash_and_rebuild_their_tag_table(fixtures_dir):
+    path = fixtures_dir / "pipeline_lexicon.jsonl"
+    assert hash(load_lexicon(path)) == hash(load_lexicon(path))
+    entries = load_lexicon(path).entries
+    assert set(entries) == set(load_lexicon(path).entries)
+    entry = make_entry("bank", ("n",), ("v",))
+    assert repr(entry) == f"WordTypeEntry(key='bank', homographs={entry.homographs!r})"
+    # the table is derived, so every way of making an entry derives it again
+    reordered = entry._replace(homographs=entry.homographs[::-1])
+    assert reordered.by_tag == {"v": (1, 1), "n": (2, 1)}
+    assert entry._make(("bank", entry.homographs[::-1])) == reordered
+    with pytest.raises(TypeError):
+        entry._replace(by_tag={})
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,18 @@ def test_lookup_is_case_insensitive_on_surface(lex, penn):
     assert result.status is TokenStatus.MATCHED
 
 
+def test_lookup_applies_no_unicode_normalization(penn):
+    # keys are lowercased only (see normalize_key): an NFD spelling of an
+    # NFC headword is a different word type
+    nfc, nfd = "caf\u00e9", "cafe\u0301"
+    lexicon = make_lexicon(make_entry(nfc, ("n",)))
+    statuses = [
+        disambiguate_token(lexicon, penn, tok(surface, "NN")).status
+        for surface in (nfc, nfc.upper(), nfd, nfd.upper())
+    ]
+    assert statuses == [TokenStatus.MATCHED] * 2 + [TokenStatus.UNKNOWN_WORD] * 2
+
+
 def test_unmapped_tag_strict_and_lenient(lex, penn):
     with pytest.raises(UnmappedTagError) as exc_info:
         disambiguate_token(lex, penn, tok("bank", "XYZ", line=41))
