@@ -1,10 +1,11 @@
 """Lexicon-driven homograph tagging from part-of-speech information.
 
 The package loads a homograph-structured lexicon (word type, ordered
-homographs, ordered senses), classifies each word type by how far a
-correct coarse POS tag can disambiguate it, tags POS-annotated corpora
-by picking the first homograph matching each token's coarse tag, and
-scores the assignments against gold annotations.
+homographs, each with its coarse tags and its senses), classifies each
+word type by how far a correct coarse POS tag can disambiguate it, tags
+POS-annotated corpora by picking the first homograph matching each
+token's coarse tag, and scores the assignments against gold
+annotations.
 """
 
 from .errors import (
@@ -26,7 +27,6 @@ from .lexicon import (
     analyze_lexicon,
     classify_word_type,
     default_vocabulary,
-    dump_lexicon,
     load_lexicon,
     load_vocabulary,
     lookup,

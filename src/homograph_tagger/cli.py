@@ -5,8 +5,9 @@ result; failures are reported in one place, `_Main.invoke`. Exit
 codes: 0 on success, 1 on a data error (malformed or undecodable
 lexicon, vocabulary, tag map or corpus, or failed evaluation
 preconditions), 2 on a usage or I/O error. Diagnostics go to stderr;
-data goes to stdout or to the chosen output path. Input files may
-start with a UTF-8 byte order mark, which is ignored.
+data goes through `_output`, to stdout or to the chosen output path,
+as UTF-8 whatever the locale. Input files may start with a UTF-8 byte
+order mark, which is ignored.
 
 `tag` and `eval` stream the corpus: each document is read, tagged and
 written (or scored) before the next one is read, so memory does not
@@ -125,13 +126,18 @@ def _tag_stream(lexicon, mapping, corpus_path, lenient, skip_proper):
 def _output(path: str | None) -> Iterator[TextIO]:
     """A text stream to path, or to stdout when path is None.
 
-    A path is written through a temporary file beside it (beside the
-    file it links to, for a symbolic link), renamed over it when the
-    block ends normally and removed when the block raises anything,
-    KeyboardInterrupt included. A path that exists and is not a regular
-    file, such as /dev/null, is written directly.
+    Either way the text is written as UTF-8 with LF line ends, whatever
+    the locale or PYTHONIOENCODING says. A path is written through a
+    temporary file beside it (beside the file it links to, for a
+    symbolic link), renamed over it when the block ends normally and
+    removed when the block raises anything, KeyboardInterrupt included.
+    A path that exists and is not a regular file, such as /dev/null, is
+    written directly.
     """
     if path is None:
+        # a stream with no reconfigure, such as io.StringIO, holds text and encodes nothing
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(encoding="utf-8", newline="\n")
         yield sys.stdout
         return
     if os.path.exists(path) and not os.path.isfile(path):
@@ -224,7 +230,8 @@ def validate(lexicon_path, vocabulary_path, tagmap_path):
 def analyze(lexicon_path, vocabulary_path, report_format):
     """Classify every word type and print the taxonomy report."""
     report = analyze_lexicon(_load_lexicon(lexicon_path, vocabulary_path))
-    sys.stdout.write(render_taxonomy(report, report_format))
+    with _output(None) as out:
+        out.write(render_taxonomy(report, report_format))
 
 
 @main.command()

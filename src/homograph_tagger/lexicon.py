@@ -1,6 +1,6 @@
-"""Homograph lexicon: data model, JSON Lines loading and serialization,
-lookup, and the static analysis that bounds how far part-of-speech
-information alone can take homograph disambiguation.
+"""Homograph lexicon: data model, JSON Lines loading, lookup, and the
+static analysis that bounds how far part-of-speech information alone
+can take homograph disambiguation.
 
 A lexicon file holds one word type per line as a JSON record:
 
@@ -8,11 +8,13 @@ A lexicon file holds one word type per line as a JSON record:
         {"pos":["n"],"senses":[{"def":"..."},{"def":"..."}]},
         {"pos":["v"],"senses":[{"def":"..."}]}]}
 
-Order is authoritative: homographs and senses are listed most frequent
-first, so position 1 is the most likely reading and ids are just
-1-based positions, never stored. Keys are normalized by lowercasing,
-both at load time and on lookup; no stemming or other conflation is
-applied.
+Order is authoritative: homographs are listed most frequent first, so
+homograph 1 is the most likely reading and ids are just 1-based
+positions, never stored. Keys are normalized by lowercasing, both at
+load time and on lookup; no stemming or other conflation is applied.
+Every sense is checked at load, but a loaded homograph keeps only its
+coarse tags and its number of senses: no command reads a definition,
+and `analyze` only asks whether a word type has two or more senses.
 
 Each word type carries a tag table, `by_tag`, built once when the entry
 is made: coarse tag -> (id of the first homograph carrying the tag,
@@ -26,7 +28,7 @@ garbage collector paused until the Lexicon and its index exist. The
 lexicon holds no reference cycles, so the collector can never free any
 of it; a caller that keeps it for the rest of the process should freeze
 it (`gc.freeze()`) before the next collection, as the CLI does, so that
-no later full collection scans it again.
+no later collection scans it again.
 """
 
 from __future__ import annotations
@@ -110,16 +112,16 @@ class DisambCategory(enum.Enum):
 
 
 class Homograph(NamedTuple):
-    """An ordered block of senses sharing one set of coarse POS tags.
+    """A homograph: its coarse POS tags and its number of senses.
 
     Its id is its 1-based position within its word type; position is
     frequency rank. pos keeps source order and holds no duplicates.
-    senses holds the definitions, opaque text, in order: a sense's id
-    is its 1-based position.
+    n_senses is at least 1; the definitions are checked at load but not
+    kept.
     """
 
     pos: tuple[str, ...]
-    senses: tuple[str, ...]
+    n_senses: int
 
 
 class _WordTypeFields(NamedTuple):
@@ -163,7 +165,7 @@ class WordTypeEntry(_WordTypeFields):
         return f"WordTypeEntry(key={self.key!r}, homographs={self.homographs!r})"
 
     def sense_count(self) -> int:
-        return sum(len(h.senses) for h in self.homographs)
+        return sum(h.n_senses for h in self.homographs)
 
     @property
     def polyhomographic(self) -> bool:
@@ -204,7 +206,7 @@ def _tag_table(homographs: Iterable[Homograph]) -> dict[str, tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# loading and serialization
+# loading
 
 
 def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> Lexicon:
@@ -220,9 +222,10 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     cycles, so a collection during the load would free nothing, yet each
     full pass rescans the growing lexicon. Keeping the loaded lexicon out
     of later collections is the caller's part, since only the caller
-    knows how long it lives: the CLI freezes it (see `cli`); a library
-    caller whose collector is on pays one pass over it at its next
-    collection.
+    knows how long it lives: the CLI freezes it (see `cli`). A library
+    caller whose collector is on pays as the lexicon ages through the
+    collector's generations: a generation-0, a generation-1 and a full
+    collection each scan all of it, and so does every later full one.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -301,16 +304,13 @@ def _entry_from_record(record, vocab: frozenset[str], source: str, lineno: int) 
             raise _homograph_error(
                 source, lineno, word, position, "'senses' must be a non-empty list"
             )
-        senses = []
-        for sense in raw_senses:
-            definition = sense.get("def") if isinstance(sense, dict) else None
-            if not isinstance(definition, str):
+        for index, sense in enumerate(raw_senses, start=1):
+            if not isinstance(sense, dict) or not isinstance(sense.get("def"), str):
                 raise _homograph_error(
                     source, lineno, word, position,
-                    f"sense {len(senses) + 1} must be an object with a string 'def'",
+                    f"sense {index} must be an object with a string 'def'",
                 )
-            senses.append(definition)
-        homographs.append(_new_tuple(Homograph, (tuple(pos), tuple(senses))))
+        homographs.append(_new_tuple(Homograph, (tuple(pos), len(raw_senses))))
     return WordTypeEntry(normalize_key(word), tuple(homographs))
 
 
@@ -318,23 +318,6 @@ def _homograph_error(
     source: str, lineno: int, word: str, position: int, message: str
 ) -> LexiconError:
     return LexiconError(f"{source}:{lineno}: {word!r}: homograph {position}: {message}")
-
-
-def dump_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    """Serialize back to the JSON Lines format. load(dump(x)) equals x."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in lexicon.entries:
-            record = {
-                "word": entry.key,
-                "homographs": [
-                    {
-                        "pos": list(h.pos),
-                        "senses": [{"def": definition} for definition in h.senses],
-                    }
-                    for h in entry.homographs
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,7 @@ def numbered_lines(
 ) -> Iterator[Iterator[tuple[int, str]]]:
     r"""The lines of a UTF-8 text file as (line number, line) pairs, from 1.
 
-    A leading byte order mark is skipped. A line ends at 
-, 
- or 
+    A leading byte order mark is skipped. A line ends at \n, \r\n or \r
     only, not at U+2028, U+0085 or a form feed. Bytes that are not UTF-8
     raise error_type as `PATH:LINE: not valid UTF-8` when reached.
     """

@@ -9,22 +9,17 @@ from homograph_tagger import (
 )
 
 
-def make_homograph(homograph_id, pos, senses=1):
+def make_homograph(pos, senses=1):
     if isinstance(pos, str):
         # a bare "nv" would silently iterate per character
         raise TypeError("pos must be a sequence of tags, not a string")
-    definitions = tuple(f"sense {i} of homograph {homograph_id}" for i in range(1, senses + 1))
-    return Homograph(tuple(pos), definitions)
+    return Homograph(tuple(pos), senses)
 
 
 def make_entry(word, *pos_groups, senses=None):
-    """Entry whose homographs carry the given pos groups, in order."""
+    """Entry whose homographs carry the given pos groups and sense counts, in order."""
     counts = senses if senses is not None else [1] * len(pos_groups)
-    homographs = tuple(
-        make_homograph(i, group, n)
-        for i, (group, n) in enumerate(zip(pos_groups, counts), start=1)
-    )
-    return WordTypeEntry(word, homographs)
+    return WordTypeEntry(word, tuple(map(make_homograph, pos_groups, counts)))
 
 
 def make_lexicon(*entries, vocabulary=None):

@@ -1,5 +1,8 @@
+import contextlib
 import gc
+import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -595,6 +598,36 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "validate" in proc.stdout and "eval" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [([], {"PYTHONIOENCODING": "latin-1"}), (["-X", "utf8=0"], {"LC_ALL": "C"})],
+    ids=["PYTHONIOENCODING=latin-1", "LC_ALL=C"],
+)
+def test_stdout_is_utf8_whatever_the_locale(fixtures_dir, tmp_path, flags, env):
+    corpus = tmp_path / "euro.tsv"
+    corpus.write_text("bank\tNN\n\u20ac\tNN\n", encoding="utf-8")
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    proc = subprocess.run(
+        [
+            sys.executable, *flags, "-m", "homograph_tagger", "tag",
+            "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", str(corpus),
+        ],
+        capture_output=True, env={**inherited, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{OUTPUT_HEADER}\n0\tbank\tn\tM\t1\n1\t\u20ac\tn\tU\t-\n".encode()
+    assert proc.stderr == (
+        b"tagged 2 tokens in 1 documents: 1 matched, 0 fallback, 1 unknown, 0 closed-class\n"
+    )
+
+
+def test_an_in_process_caller_may_replace_stdout_with_a_text_buffer(fixtures_dir):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main(["analyze", "--lexicon", fx(fixtures_dir, "analyze_four.jsonl")], standalone_mode=False)
+    assert "word types:      4\n" in buffer.getvalue()
 
 
 def test_a_closed_stdout_pipe_ends_the_run_quietly(fixtures_dir, tmp_path):

@@ -19,7 +19,6 @@ from homograph_tagger import (
     default_tagmap,
     default_vocabulary,
     disambiguate_token,
-    dump_lexicon,
     load_lexicon,
     lookup,
     render_output,
@@ -37,14 +36,33 @@ pos_groups = st.lists(pos_group, min_size=1, max_size=6)
 entry_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyzé-", min_size=1, max_size=10)
 
 
-def entry_from_groups(word, groups):
-    return make_entry(word, *[tuple(sorted(g)) for g in groups])
+def entry_from_groups(word, groups, senses=None):
+    return make_entry(word, *[tuple(sorted(g)) for g in groups], senses=senses)
 
 
 @st.composite
 def lexicon_entries(draw, min_size=1, max_size=12):
     words = draw(st.lists(entry_words, min_size=min_size, max_size=max_size, unique=True))
-    return [entry_from_groups(word, draw(pos_groups)) for word in words]
+    entries = []
+    for word in words:
+        groups = draw(pos_groups)
+        senses = draw(st.lists(st.integers(1, 3), min_size=len(groups), max_size=len(groups)))
+        entries.append(entry_from_groups(word, groups, senses))
+    return entries
+
+
+def as_records(entries):
+    """The JSON records a lexicon file holds for entries, one per entry."""
+    return [
+        {
+            "word": e.key,
+            "homographs": [
+                {"pos": list(h.pos), "senses": [{"def": f"sense {i}"} for i in range(h.n_senses)]}
+                for h in e.homographs
+            ],
+        }
+        for e in entries
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +107,7 @@ def test_analysis_is_invariant_under_entry_order(entries, rnd):
 @given(lexicon_entries())
 def test_analysis_matches_the_recount_oracle(entries):
     report = analyze_lexicon(make_lexicon(*entries))
-    records = [
-        {
-            "word": e.key,
-            "homographs": [
-                {"pos": list(h.pos), "senses": [{"def": s} for s in h.senses]}
-                for h in e.homographs
-            ],
-        }
-        for e in entries
-    ]
-    recount = oracles.taxonomy_recount(records)
+    recount = oracles.taxonomy_recount(as_records(entries))
     assert report.n_guaranteed == recount["n_guaranteed"]
     assert report.n_possible == recount["n_possible"]
     assert report.n_no_disambiguation == recount["n_no_disambiguation"]
@@ -108,16 +116,16 @@ def test_analysis_matches_the_recount_oracle(entries):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# loading
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lexicon_entries())
-def test_dump_load_round_trip(tmp_path, entries):
-    lexicon = make_lexicon(*entries)
-    path = tmp_path / "roundtrip.jsonl"
-    dump_lexicon(lexicon, path)
-    assert load_lexicon(path) == lexicon
+def test_records_load_back_to_their_entries(tmp_path, entries):
+    path = tmp_path / "entries.jsonl"
+    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in as_records(entries)]
+    path.write_text("".join(lines), encoding="utf-8")
+    assert load_lexicon(path) == make_lexicon(*entries)
 
 
 # ---------------------------------------------------------------------------
