@@ -20,7 +20,9 @@ Each word type carries a tag table, `by_tag`, built once when the entry
 is made: coarse tag -> (id of the first homograph carrying the tag,
 number of homographs carrying it). The tagger reads the first element
 (one dict lookup per token instead of a scan of the homographs) and the
-taxonomy reads the second. Homographs and entries are named tuples.
+taxonomy reads the second. Homographs are named tuples. An entry is a
+frozen dataclass whose by_tag is derived from its homographs when it is
+made, as a Lexicon's index is derived from its entries.
 
 The loader validates each record in one walk that also builds its
 homographs, then derives the tag table from them, with the cyclic
@@ -69,9 +71,9 @@ def normalize_key(surface: str) -> str:
 @cache
 def default_vocabulary() -> tuple[str, ...]:
     """The 17-tag coarse category vocabulary shipped with the package."""
-    # read_text reads \r\n and \r as \n, so lines end where numbered_lines ends them
-    text = files("homograph_tagger").joinpath("data/coarse_tags.txt").read_text("utf-8")
-    return _parse_vocabulary(enumerate(text.split("\n"), start=1), "<default vocabulary>")
+    path = files("homograph_tagger") / "data/coarse_tags.txt"
+    with numbered_lines(path, VocabularyError) as lines:
+        return _parse_vocabulary(lines, "<default vocabulary>")
 
 
 def load_vocabulary(path: str | Path) -> tuple[str, ...]:
@@ -124,45 +126,28 @@ class Homograph(NamedTuple):
     n_senses: int
 
 
-class _WordTypeFields(NamedTuple):
-    key: str
-    homographs: tuple[Homograph, ...]
-    by_tag: dict[str, tuple[int, int]]
-
-
-class WordTypeEntry(_WordTypeFields):
+@dataclass(frozen=True, slots=True)
+class WordTypeEntry:
     """A normalized headword, its ordered homographs and its tag table.
 
     by_tag maps each coarse tag that some homograph carries to the id of
     the first homograph carrying it and the number carrying it. It is
-    derived from homographs whenever an entry is made, so it takes no
-    part in hashing or repr; treat it as read-only.
+    derived from homographs in __post_init__, as Lexicon._index is from
+    entries, so it takes no part in equality, hashing or repr; treat it
+    as read-only.
     """
 
-    __slots__ = ()
+    key: str
+    homographs: tuple[Homograph, ...]
+    by_tag: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
-    def __new__(cls, key: str, homographs: tuple[Homograph, ...]) -> WordTypeEntry:
-        return _new_tuple(cls, (key, homographs, _tag_table(homographs)))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> WordTypeEntry:
-        # like the constructor, from key and homographs
-        return cls(*iterable)
-
-    def _replace(self, **changes) -> WordTypeEntry:
-        return WordTypeEntry(
-            changes.pop("key", self.key), changes.pop("homographs", self.homographs), **changes
-        )
-
-    def __getnewargs__(self) -> tuple[str, tuple[Homograph, ...]]:
-        # pickle and copy call __new__ with these
-        return self.key, self.homographs
-
-    def __hash__(self) -> int:
-        return hash((self.key, self.homographs))
-
-    def __repr__(self) -> str:
-        return f"WordTypeEntry(key={self.key!r}, homographs={self.homographs!r})"
+    def __post_init__(self):
+        by_tag: dict[str, tuple[int, int]] = {}
+        for homograph_id, homograph in enumerate(self.homographs, start=1):
+            for tag in homograph.pos:
+                first, count = by_tag.get(tag, (homograph_id, 0))
+                by_tag[tag] = (first, count + 1)
+        object.__setattr__(self, "by_tag", by_tag)
 
     def sense_count(self) -> int:
         return sum(h.n_senses for h in self.homographs)
@@ -193,16 +178,6 @@ class Lexicon:
 def lookup(lexicon: Lexicon, surface: str) -> WordTypeEntry | None:
     """Find the entry for a surface form or headword, or None."""
     return lexicon._index.get(normalize_key(surface))
-
-
-def _tag_table(homographs: Iterable[Homograph]) -> dict[str, tuple[int, int]]:
-    """Coarse tag -> (id of the first homograph carrying it, number carrying it)."""
-    by_tag: dict[str, tuple[int, int]] = {}
-    for homograph_id, homograph in enumerate(homographs, start=1):
-        for tag in homograph.pos:
-            first, count = by_tag.get(tag, (homograph_id, 0))
-            by_tag[tag] = (first, count + 1)
-    return by_tag
 
 
 # ---------------------------------------------------------------------------

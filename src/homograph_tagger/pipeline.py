@@ -190,7 +190,11 @@ def _new_id(doc_id: str, seen: set[str], source: str, lineno: int) -> str:
 
 
 def _gold_id(field: str, source: str, lineno: int) -> int:
+    # int() alone also takes Unicode digits, '_', '+' and surrounding spaces
+    digits = field[1:] if field[0] == "-" else field
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         gold = int(field)
     except ValueError:
         raise CorpusError(

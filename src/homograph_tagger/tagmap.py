@@ -51,9 +51,9 @@ class TagMapping:
 @cache
 def default_tagmap(vocabulary: tuple[str, ...] | None = None) -> TagMapping:
     """The shipped Penn-Treebank-to-coarse table (48 fine tags)."""
-    # read_text reads \r\n and \r as \n, so lines end where numbered_lines ends them
-    text = files("homograph_tagger").joinpath("data/penn_to_coarse.tsv").read_text("utf-8")
-    return _parse_tagmap(enumerate(text.split("\n"), start=1), "<default tag map>", vocabulary)
+    path = files("homograph_tagger") / "data/penn_to_coarse.tsv"
+    with numbered_lines(path, TagMapError) as lines:
+        return _parse_tagmap(lines, "<default tag map>", vocabulary)
 
 
 def load_tagmap(path: str | Path, vocabulary: Iterable[str] | None = None) -> TagMapping:

@@ -187,7 +187,9 @@ def test_analyze_does_not_load_the_tag_map(runner, tmp_path):
         ]}) + "\n",
         encoding="utf-8",
     )
-    assert invoke(runner, "validate", "--lexicon", lexicon, "--vocab", vocab).exit_code == 1
+    result = invoke(runner, "validate", "--lexicon", lexicon, "--vocab", vocab)
+    assert result.exit_code == 1
+    assert result.stderr == "error: <default tag map>:6: unknown coarse tag 'conj' for fine tag 'CC'\n"
     result = invoke(runner, "analyze", "--lexicon", lexicon, "--vocab", vocab)
     assert result.exit_code == 0
     assert "guaranteed:        1" in result.stdout

@@ -2,7 +2,7 @@ import gc
 import json
 import pickle
 import re
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 
@@ -191,12 +191,14 @@ def test_entries_and_lexicons_hash_and_rebuild_their_tag_table(fixtures_dir):
     assert set(lexicon.entries) == set(load_lexicon(path).entries)
     entry = make_entry("bank", ("n",), ("v",))
     assert repr(entry) == f"WordTypeEntry(key='bank', homographs={entry.homographs!r})"
+    assert pickle.loads(pickle.dumps(entry)).by_tag == entry.by_tag
     # the table is derived, so every way of making an entry derives it again
-    reordered = entry._replace(homographs=entry.homographs[::-1])
+    reordered = replace(entry, homographs=entry.homographs[::-1])
     assert reordered.by_tag == {"v": (1, 1), "n": (2, 1)}
-    assert entry._make(("bank", entry.homographs[::-1])) == reordered
-    with pytest.raises(TypeError):
-        entry._replace(by_tag={})
+    with pytest.raises(ValueError):
+        replace(entry, by_tag={})
+    with pytest.raises(FrozenInstanceError):
+        entry.homographs = reordered.homographs
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,11 @@ def test_read_corpus_field_handling(tmp_path):
         ("\tNN\n", "empty surface"),
         ("a\t\n", "empty fine tag"),
         ("a\tNN\t\tone\n", "must be an integer"),
+        ("a\tNN\t\t\u0661\n", "must be an integer, got '\u0661'"),
+        ("a\tNN\t\t1_0\n", "must be an integer, got '1_0'"),
+        ("a\tNN\t\t 1\n", "must be an integer, got ' 1'"),
+        ("a\tNN\t\t1 \n", "must be an integer, got '1 '"),
+        ("a\tNN\t\t+1\n", r"must be an integer, got '\+1'"),
         ("a\tNN\t\t0\n", "must be >= 1"),
         ("a\tNN\t\t-2\n", "must be >= 1"),
         ("# doc:\na\tNN\n", "empty id"),
