@@ -36,14 +36,15 @@ from .lexicon import (
 from .pipeline import (
     OUTPUT_HEADER,
     Document,
-    SenseTaggedToken,
-    TaggedToken,
+    LineRecord,
+    Token,
     TokenStatus,
     disambiguate_token,
     read_corpus,
     render_output,
     render_tokens,
     status_counts,
+    tag_corpus,
     tag_document,
 )
 from .tagmap import DEFAULT_OPEN_CLASS, TagMapping, default_tagmap, load_tagmap

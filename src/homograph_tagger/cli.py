@@ -9,12 +9,17 @@ data goes through `_output`, to stdout or to the chosen output path,
 as UTF-8 whatever the locale. Input files may start with a UTF-8 byte
 order mark, which is ignored.
 
-`tag` and `eval` stream the corpus: each document is read, tagged and
-written (or scored) before the next one is read, so memory does not
-grow with the corpus. A file named by `--out` or `--report` is written
-all-or-nothing: the run writes a temporary file in the same directory
-and renames it over the target only on success, so a failed or
-interrupted run leaves no output file and an existing one untouched.
+`tag` and `eval` stream the corpus through `tag_corpus`: each document
+is read, tagged and written (or scored) before the next one is read,
+and each distinct token line is checked and tagged once, in a table of
+bounded size, so memory does not grow with the corpus. Both print the
+same one-line summary of token statuses to stderr when they succeed:
+`tag` counts the statuses of the tokens it writes, and `eval` reads
+them from its report, which has counted every token's status.
+A file named by `--out` or `--report` is written all-or-nothing: the
+run writes a temporary file in the same directory and renames it over
+the target only on success, so a failed or interrupted run leaves no
+output file and an existing one untouched.
 Stdout has no such guarantee: a run that fails part way may already
 have printed a prefix of its output; it still exits 1 (or 2) with one
 `error:` line on stderr. A run whose stdout pipe the reader closes early
@@ -39,7 +44,8 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, tee
-from typing import Iterator, TextIO
+from operator import attrgetter, itemgetter
+from typing import Iterator, Mapping, TextIO
 
 import click
 
@@ -55,15 +61,16 @@ from .lexicon import (
 from .pipeline import (
     OUTPUT_HEADER,
     TokenStatus,
-    read_corpus,
     render_tokens,
     status_counts,
-    tag_document,
+    tag_corpus,
 )
 from .tagmap import default_tagmap, load_tagmap
 
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
+_record_of = itemgetter(2)
+_gold_of = attrgetter("gold_homograph_id")
 
 
 class _Main(click.Group):
@@ -116,10 +123,15 @@ def _load_tagmap(tagmap_path, vocabulary):
     return load_tagmap(tagmap_path, vocabulary) if tagmap_path else default_tagmap(vocabulary)
 
 
-def _tag_stream(lexicon, mapping, corpus_path, lenient, skip_proper):
-    """The tag results of each corpus document in turn, one document at a time."""
-    for document in read_corpus(corpus_path):
-        yield tag_document(lexicon, mapping, document, strict=not lenient, skip_proper=skip_proper)
+def _summary(n_documents: int, counts: Mapping[TokenStatus, int]) -> str:
+    """The stderr line that ends a successful tag or eval run."""
+    return (
+        f"tagged {sum(counts.values())} tokens in {n_documents} documents:"
+        f" {counts[TokenStatus.MATCHED]} matched,"
+        f" {counts[TokenStatus.FALLBACK]} fallback,"
+        f" {counts[TokenStatus.UNKNOWN_WORD]} unknown,"
+        f" {counts[TokenStatus.CLOSED_CLASS]} closed-class"
+    )
 
 
 @contextmanager
@@ -253,7 +265,7 @@ def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, le
     """Assign a homograph to every token of a POS-tagged corpus."""
     lexicon = _load_lexicon(lexicon_path, vocabulary_path)
     mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
-    stream = _tag_stream(lexicon, mapping, corpus_path, lenient, skip_proper)
+    stream = tag_corpus(lexicon, mapping, corpus_path, strict=not lenient, skip_proper=skip_proper)
     # the first document is tagged before any output is opened, so a corpus
     # that fails at once (missing, empty, malformed at the top) prints nothing
     documents = chain([next(stream)], stream)
@@ -261,18 +273,11 @@ def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, le
     n_documents = 0
     with _output(output_path) as out:
         out.write(f"{OUTPUT_HEADER}\n")
-        for results in documents:
-            out.write(render_tokens(results))
-            counts.update(status_counts(results))
+        for document in documents:
+            out.write(render_tokens(document.tokens))
+            counts.update(status_counts(document.tokens))
             n_documents += 1
-    print(
-        f"tagged {counts.total()} tokens in {n_documents} documents:"
-        f" {counts[TokenStatus.MATCHED]} matched,"
-        f" {counts[TokenStatus.FALLBACK]} fallback,"
-        f" {counts[TokenStatus.UNKNOWN_WORD]} unknown,"
-        f" {counts[TokenStatus.CLOSED_CLASS]} closed-class",
-        file=sys.stderr,
-    )
+    print(_summary(n_documents, counts), file=sys.stderr)
 
 
 @main.command(name="eval")
@@ -304,17 +309,33 @@ def eval_command(
     lexicon = _load_lexicon(lexicon_path, vocabulary_path)
     mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
     annotated = False
+    n_documents = n_tokens = 0
 
-    def results():
-        nonlocal annotated
-        for tagged in _tag_stream(lexicon, mapping, corpus_path, lenient, skip_proper):
-            annotated = annotated or any(r.token.gold_homograph_id is not None for r in tagged)
-            yield from tagged
+    def tokens():
+        nonlocal annotated, n_documents, n_tokens
+        documents = tag_corpus(
+            lexicon, mapping, corpus_path, strict=not lenient, skip_proper=skip_proper, render=False
+        )
+        for document in documents:
+            # a gold id is at least 1, so a token is annotated when its gold id is true
+            annotated = annotated or any(map(_gold_of, map(_record_of, document.tokens)))
+            n_documents += 1
+            n_tokens += len(document.tokens)
+            yield from document.tokens
 
-    # evaluate takes the two in step, so tee holds at most one result
-    scored, aligned = tee(results())
-    report = evaluate(lexicon, scored, (tagged.token.gold_homograph_id for tagged in aligned))
+    # evaluate takes the two in step, so tee holds at most one token
+    scored, aligned = tee(tokens())
+    report = evaluate(lexicon, scored, map(_gold_of, map(_record_of, aligned)))
     if not annotated:
         raise EvaluationError(f"{corpus_path}: corpus carries no gold homograph annotations")
     with _output(report_path) as out:
         out.write(render_report(report, report_format))
+    # evaluate has counted every open-class token as matched, fallback or unknown
+    known = report.n_open_class - report.n_unknown
+    counts = {
+        TokenStatus.MATCHED: known - report.fallback_count,
+        TokenStatus.FALLBACK: report.fallback_count,
+        TokenStatus.UNKNOWN_WORD: report.n_unknown,
+        TokenStatus.CLOSED_CLASS: n_tokens - report.n_open_class,
+    }
+    print(_summary(n_documents, counts), file=sys.stderr)

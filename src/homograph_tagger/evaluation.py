@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import EvaluationError
 from .lexicon import Lexicon, normalize_key
-from .pipeline import SenseTaggedToken, TokenStatus
+from .pipeline import Token, TokenStatus
 from .util import fmt_pct
 
 
@@ -49,14 +49,14 @@ _END = object()
 
 def evaluate(
     lexicon: Lexicon,
-    results: Iterable[SenseTaggedToken],
+    results: Iterable[Token],
     gold: Iterable[int | None],
 ) -> EvalReport:
     """Score assignments against position-aligned gold homograph ids.
 
     A scored token is correct when its assigned homograph id equals the
     gold id. Gold ids are range-checked against the homograph count each
-    tagged token carries; the lexicon argument is not consulted.
+    tagged token's record carries; the lexicon argument is not consulted.
 
     Both arguments are consumed once, in step, so they may be
     generators. An error in an earlier token is reported before a
@@ -72,7 +72,8 @@ def evaluate(
             raise EvaluationError(
                 f"results/gold length mismatch: {n_results} results, {n_gold} gold ids"
             )
-        status = tagged.status
+        record = tagged[2]
+        status = record.status
         if status is TokenStatus.CLOSED_CLASS:
             continue
         n_open += 1
@@ -83,15 +84,15 @@ def evaluate(
             fallbacks += 1
         if gold_id is None:
             continue
-        n_homographs = tagged.n_homographs
+        n_homographs = record.n_homographs
         if not 1 <= gold_id <= n_homographs:
-            token = tagged.token
-            where = f"line {token.line}" if token.line is not None else f"token {token.index}"
+            index, line, _ = tagged
+            where = f"line {line}" if line is not None else f"token {index}"
             raise EvaluationError(
                 f"gold homograph id {gold_id} out of range 1..{n_homographs}"
-                f" for {normalize_key(token.lemma or token.surface)!r} ({where})"
+                f" for {normalize_key(record.lemma or record.surface)!r} ({where})"
             )
-        correct = tagged.homograph_id == gold_id
+        correct = record.homograph_id == gold_id
         if n_homographs >= 2:
             n_poly += 1
             correct_poly += correct

@@ -21,14 +21,33 @@ STATUS is C (closed class), U (unknown word), M (matched) or F
 restarts at 0 on each document boundary. The rendering is
 byte-deterministic: same input, same bytes.
 
-The corpus is streamed: `read_corpus` yields one document at a time, so
-a caller that tags, renders and writes each document before reading the
-next holds one document in memory, not the corpus. Tokens are named
-tuples. Tagging a token is one lookup of its fine tag, one lowercased
-lookup of its word type and one lookup of the coarse tag in that word
-type's `by_tag` table (see `lexicon`), which holds the first homograph
-carrying each tag. A tagged token carries its word type's homograph
-count, so a scorer needs no second lookup.
+A token is the plain tuple `(index, line, record)`: its position in its
+document, its source line number and a `LineRecord`. The record holds
+what the token's line says (surface, fine tag, lemma, gold id) and, once
+tagged, what the tagger made of it (coarse tag, status, homograph id,
+the word type's homograph count) and the rendered output line after the
+index. A rendered token is its index followed by that tail. The library
+and the CLI share this one token type, one line parse, one tagging rule
+and one renderer.
+
+The corpus is streamed: `read_corpus` and `tag_corpus` yield one
+document at a time, so a caller that tags, renders and writes each
+document before reading the next holds one document in memory, not the
+corpus. Both read through one reader, which keeps a table local to the
+run from each distinct token line to its record: a line seen before
+costs one dict lookup and one token tuple, and is not split, checked,
+tagged or rendered again, and tokens on equal lines share one record.
+The table is emptied whenever it holds LINE_TABLE_SIZE lines, so its
+memory is capped by that module constant, not by the corpus size. A
+line that fails is never stored, so an error always names the line
+where it occurs.
+
+Tagging a line is one lookup of its fine tag, one lowercased lookup of
+its word type and one lookup of the coarse tag in that word type's
+`by_tag` table (see `lexicon`), which holds the first homograph carrying
+each tag. In strict mode an unmapped fine tag is reported once its
+document has been read, so a malformed line later in that document is
+reported first, as when a document is read whole and then tagged.
 """
 
 from __future__ import annotations
@@ -36,9 +55,9 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CorpusError, UnmappedTagError
 from .lexicon import Lexicon, normalize_key
@@ -46,9 +65,11 @@ from .tagmap import TagMapping
 from .util import numbered_lines
 
 OUTPUT_HEADER = "#homograph-tagger v1"
+# the most distinct token lines a reader keeps; a full table is emptied
+LINE_TABLE_SIZE = 1 << 14
 _MISSING = "-"
 # _make(Cls, fields) builds the NamedTuple Cls without running the
-# Python-level __new__ that calling Cls runs, about half the cost of a token
+# Python-level __new__ that calling Cls runs, about half the cost of a record
 _make = tuple.__new__
 
 
@@ -69,44 +90,31 @@ _CLOSED = TokenStatus.CLOSED_CLASS
 _UNKNOWN = TokenStatus.UNKNOWN_WORD
 _MATCHED = TokenStatus.MATCHED
 _FALLBACK = TokenStatus.FALLBACK
+_record_of = itemgetter(2)
 _status_of = attrgetter("status")
 
 
-class TaggedToken(NamedTuple):
-    """One corpus token as read from the tagged input.
+class LineRecord(NamedTuple):
+    """One distinct token line: its fields and, once tagged, its tagging.
 
-    line is the source line number, kept for diagnostics; gold_homograph_id
-    is the optional hand-annotated homograph used by evaluation.
+    gold_homograph_id is the optional hand-annotated homograph used by
+    evaluation. The tagging fields are None (n_homographs 0) until the
+    line is tagged. n_homographs is the number of homographs of the
+    word type for a known open-class token (status M or F), and 0
+    otherwise, so only those can be polyhomographic. coarse_tag is None
+    only for an untagged line or, once tagged, an unmapped fine tag in
+    lenient mode. tail is the output line after the index.
     """
 
-    index: int
     surface: str
     fine_tag: str
     lemma: str | None = None
     gold_homograph_id: int | None = None
-    line: int | None = None
-
-
-@dataclass(frozen=True)
-class Document:
-    doc_id: str
-    tokens: tuple[TaggedToken, ...]
-
-
-class SenseTaggedToken(NamedTuple):
-    """A token after homograph assignment.
-
-    n_homographs is the number of homographs of the token's word type
-    for a known open-class token (status M or F), and 0 otherwise, so
-    only those can be polyhomographic. coarse_tag is None only for tokens
-    whose fine tag was unmapped in lenient mode.
-    """
-
-    token: TaggedToken
-    coarse_tag: str | None
-    status: TokenStatus
-    homograph_id: int | None
-    n_homographs: int
+    coarse_tag: str | None = None
+    status: TokenStatus | None = None
+    homograph_id: int | None = None
+    n_homographs: int = 0
+    tail: str | None = None
 
     @property
     def open_class(self) -> bool:
@@ -117,6 +125,23 @@ class SenseTaggedToken(NamedTuple):
         return self.n_homographs >= 2
 
 
+# one corpus token: its index in its document, its source line number
+# (kept for diagnostics; None for a token made by hand) and its line's
+# record; a plain tuple, which costs about half what a named one does
+Token = tuple[int, "int | None", LineRecord]
+
+
+@dataclass(frozen=True)
+class Document:
+    doc_id: str
+    tokens: tuple[Token, ...]
+
+
+# the record of a line's surface, fine tag, lemma and gold id: tagged,
+# untagged, or None for an unmapped fine tag in strict mode
+_RecordOf = Callable[..., "LineRecord | None"]
+
+
 # ---------------------------------------------------------------------------
 # corpus reading
 
@@ -124,61 +149,114 @@ class SenseTaggedToken(NamedTuple):
 def read_corpus(path: str | Path) -> Iterator[Document]:
     """Read a tab-separated tagged corpus, yielding one document at a time.
 
-    Token indexes are assigned 0..m-1 per document. Malformed lines,
-    bad gold ids and duplicate document ids are rejected with the
-    offending line number where one exists, when the reader reaches
-    them: the documents before them have been yielded by then. A corpus
-    with no documents at all is rejected once the file is read to the
-    end. Iterate it once to stream the corpus; `list(read_corpus(path))`
-    reads it whole.
+    Token indexes are assigned 0..m-1 per document; the tokens are not
+    tagged. Malformed lines, bad gold ids and duplicate document ids are
+    rejected with the offending line number where one exists, when the
+    reader reaches them: the documents before them have been yielded by
+    then. A corpus with no documents at all is rejected once the file is
+    read to the end. Iterate it once to stream the corpus;
+    `list(read_corpus(path))` reads it whole.
     """
+    return _read(path, _untagged)
+
+
+def tag_corpus(
+    lexicon: Lexicon,
+    mapping: TagMapping,
+    path: str | Path,
+    *,
+    strict: bool = True,
+    skip_proper: bool = False,
+    render: bool = True,
+) -> Iterator[Document]:
+    """Read and tag a corpus in one pass, yielding one tagged document at a time.
+
+    The result is what tagging each document of `read_corpus(path)` with
+    `tag_document` gives, but each distinct line is checked and tagged
+    once per run (see the module docstring). In strict mode the first
+    unmapped fine tag of a document is raised, with its line, once the
+    document has been read. With render false every record's tail is
+    None: a caller that never renders, such as a scorer, so skips making
+    and keeping an output line for every distinct corpus line.
+    """
+    return _read(path, _tagging_rule(lexicon, mapping, strict, skip_proper, render))
+
+
+def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
+    """The documents at path, each distinct line's record made once by record_of."""
     source = str(path)
+    limit = LINE_TABLE_SIZE
+    table: dict[str, LineRecord] = {}
+    known = table.get
     seen: set[str] = set()
     ordinal = 0
     current_id: str | None = None
-    tokens: list[TaggedToken] = []
+    tokens: list[Token] = []
+    unmapped: UnmappedTagError | None = None
     with numbered_lines(path, CorpusError) as lines:
         for lineno, raw in lines:
-            line = raw.rstrip("\n")
-            if not line or line.isspace():
-                # blank lines end a document once it has tokens; a freshly
-                # declared, still-empty document stays open
-                if tokens:
-                    yield Document(current_id, tuple(tokens))
-                    current_id, tokens = None, []
-                continue
-            if line[0] == "#" and line[1:2] != "\t":
-                if line.startswith("# doc:"):
-                    doc_id = line[len("# doc:"):].strip()
-                    if not doc_id:
-                        raise CorpusError(f"{source}:{lineno}: document header with empty id")
-                    if current_id is not None:
-                        yield Document(current_id, tuple(tokens))
-                    ordinal += 1
-                    current_id, tokens = _new_id(doc_id, seen, source, lineno), []
-                continue
-            fields = line.split("\t")
-            n_fields = len(fields)
-            if not 2 <= n_fields <= 4:
-                raise CorpusError(
-                    f"{source}:{lineno}: expected 2 to 4 tab-separated fields,"
-                    f" got {n_fields}"
-                )
-            surface, fine = fields[0], fields[1]
-            if not surface:
-                raise CorpusError(f"{source}:{lineno}: empty surface field")
-            if not fine:
-                raise CorpusError(f"{source}:{lineno}: empty fine tag field")
-            lemma = (fields[2] or None) if n_fields >= 3 else None
-            gold = _gold_id(fields[3], source, lineno) if n_fields == 4 and fields[3] else None
+            record = known(raw)
+            if record is None:
+                line = raw.rstrip("\n")
+                if not line or line.isspace():
+                    # blank lines end a document once it has tokens; a freshly
+                    # declared, still-empty document stays open
+                    if tokens:
+                        yield _ended(current_id, tokens, unmapped)
+                        current_id, tokens = None, []
+                    continue
+                if line[0] == "#" and line[1:2] != "\t":
+                    if line.startswith("# doc:"):
+                        doc_id = line[len("# doc:"):].strip()
+                        if not doc_id:
+                            raise CorpusError(f"{source}:{lineno}: document header with empty id")
+                        if current_id is not None:
+                            yield _ended(current_id, tokens, unmapped)
+                        ordinal += 1
+                        current_id, tokens = _new_id(doc_id, seen, source, lineno), []
+                    continue
+                fields = line.split("\t")
+                n_fields = len(fields)
+                if not 2 <= n_fields <= 4:
+                    raise CorpusError(
+                        f"{source}:{lineno}: expected 2 to 4 tab-separated fields,"
+                        f" got {n_fields}"
+                    )
+                surface, fine = fields[0], fields[1]
+                if not surface:
+                    raise CorpusError(f"{source}:{lineno}: empty surface field")
+                if not fine:
+                    raise CorpusError(f"{source}:{lineno}: empty fine tag field")
+                lemma = (fields[2] or None) if n_fields >= 3 else None
+                gold = _gold_id(fields[3], source, lineno) if n_fields == 4 and fields[3] else None
+                record = record_of(surface, fine, lemma, gold)
+                if record is None:
+                    # kept as a token, so that the document ends where it would
+                    unmapped = unmapped or UnmappedTagError(fine, line=lineno)
+                    record = _untagged(surface, fine, lemma, gold)
+                else:
+                    if len(table) >= limit:
+                        table.clear()
+                    table[raw] = record
             if current_id is None:
                 ordinal += 1
                 current_id = _new_id(f"doc{ordinal}", seen, source, lineno)
-            tokens.append(_make(TaggedToken, (len(tokens), surface, fine, lemma, gold, lineno)))
+            tokens.append((len(tokens), lineno, record))
     if current_id is not None:
-        yield Document(current_id, tuple(tokens))
+        yield _ended(current_id, tokens, unmapped)
     if not seen:
         raise CorpusError(f"{source}: empty corpus (no documents)")
+
+
+def _ended(doc_id: str, tokens: list[Token], unmapped: UnmappedTagError | None) -> Document:
+    """The document that has just been read, unless a fine tag in it was unmapped."""
+    if unmapped is not None:
+        raise unmapped
+    return Document(doc_id, tuple(tokens))
+
+
+def _untagged(surface: str, fine: str, lemma: str | None, gold: int | None) -> LineRecord:
+    return _make(LineRecord, (surface, fine, lemma, gold, None, None, None, 0, None))
 
 
 def _new_id(doc_id: str, seen: set[str], source: str, lineno: int) -> str:
@@ -212,12 +290,12 @@ def _gold_id(field: str, source: str, lineno: int) -> int:
 def disambiguate_token(
     lexicon: Lexicon,
     mapping: TagMapping,
-    token: TaggedToken,
+    token: Token,
     *,
     strict: bool = True,
     skip_proper: bool = False,
-) -> SenseTaggedToken:
-    """Assign a homograph to one token from its POS tag alone.
+) -> LineRecord:
+    """Assign a homograph to one token from its POS tag alone; return its tagged record.
 
     Closed-class tokens and, with skip_proper, proper-noun tokens pass
     through untagged; words missing from the lexicon are flagged
@@ -226,7 +304,8 @@ def disambiguate_token(
     matches. In strict mode an unmapped fine tag raises
     UnmappedTagError; in lenient mode it makes the token closed class.
     """
-    return _tag_tokens(lexicon, mapping, (token,), strict, skip_proper)[0]
+    tag = _tagging_rule(lexicon, mapping, strict, skip_proper, render=True)
+    return _tag_tokens(tag, (token,))[0][2]
 
 
 def tag_document(
@@ -236,66 +315,82 @@ def tag_document(
     *,
     strict: bool = True,
     skip_proper: bool = False,
-) -> list[SenseTaggedToken]:
+) -> list[Token]:
     """Disambiguate every token of a document, in order (see disambiguate_token).
 
-    In strict mode the first token-level error aborts the document.
+    Each result is the token with its record tagged. In strict mode the
+    first token-level error aborts the document.
     """
-    return _tag_tokens(lexicon, mapping, document.tokens, strict, skip_proper)
+    tag = _tagging_rule(lexicon, mapping, strict, skip_proper, render=True)
+    return _tag_tokens(tag, document.tokens)
 
 
-def _tag_tokens(
-    lexicon: Lexicon,
-    mapping: TagMapping,
-    tokens: Sequence[TaggedToken],
-    strict: bool,
-    skip_proper: bool,
-) -> list[SenseTaggedToken]:
+def _tag_tokens(tag: _RecordOf, tokens: Iterable[Token]) -> list[Token]:
+    # tokens on equal lines share one record, so each record is tagged once
+    tagged_of: dict[LineRecord, LineRecord] = {}
+    results = []
+    for index, line, record in tokens:
+        tagged = tagged_of.get(record)
+        if tagged is None:
+            tagged = tag(*record[:4])
+            if tagged is None:
+                raise UnmappedTagError(record.fine_tag, line=line)
+            tagged_of[record] = tagged
+        results.append((index, line, tagged))
+    return results
+
+
+def _tagging_rule(
+    lexicon: Lexicon, mapping: TagMapping, strict: bool, skip_proper: bool, render: bool
+) -> _RecordOf:
+    """The tagged record of a line's fields, for one lexicon, mapping and mode."""
     coarse_of = mapping.entries.get
     open_class = mapping.open_class
     proper = mapping.proper_tags if skip_proper else frozenset()
     find = lexicon._index.get
-    results = []
-    for token in tokens:
-        fine = token.fine_tag
+
+    def tag(surface: str, fine: str, lemma: str | None, gold: int | None) -> LineRecord | None:
         coarse = coarse_of(fine)
+        n_homographs = 0
+        homograph_id = None
         if coarse not in open_class or fine in proper:
             if coarse is None and strict and fine not in proper:
-                raise UnmappedTagError(fine, line=token.line)
-            results.append(_make(SenseTaggedToken, (token, coarse, _CLOSED, None, 0)))
-            continue
-        entry = find(normalize_key(token.lemma or token.surface))
-        if entry is None:
-            results.append(_make(SenseTaggedToken, (token, coarse, _UNKNOWN, None, 0)))
-            continue
-        n_homographs = len(entry.homographs)
-        hit = entry.by_tag.get(coarse)
-        if hit is None:
-            results.append(_make(SenseTaggedToken, (token, coarse, _FALLBACK, 1, n_homographs)))
+                return None
+            status = _CLOSED
         else:
-            results.append(_make(SenseTaggedToken, (token, coarse, _MATCHED, hit[0], n_homographs)))
-    return results
+            entry = find(normalize_key(lemma or surface))
+            if entry is None:
+                status = _UNKNOWN
+            else:
+                n_homographs = len(entry.homographs)
+                hit = entry.by_tag.get(coarse)
+                status, homograph_id = (_FALLBACK, 1) if hit is None else (_MATCHED, hit[0])
+        # status._value_ is the plain attribute behind the slower .value property
+        tail = (
+            f"\t{surface}\t{_MISSING if coarse is None else coarse}"
+            f"\t{status._value_}\t{_MISSING if homograph_id is None else homograph_id}\n"
+        ) if render else None
+        return _make(
+            LineRecord, (surface, fine, lemma, gold, coarse, status, homograph_id, n_homographs, tail)
+        )
+
+    return tag
 
 
 # ---------------------------------------------------------------------------
 # output
 
 
-def render_output(results: Iterable[SenseTaggedToken]) -> str:
-    """Render results in the tab-separated output format, header included."""
+def render_output(results: Iterable[Token]) -> str:
+    """Render tagged tokens in the tab-separated output format, header included."""
     return f"{OUTPUT_HEADER}\n{render_tokens(results)}"
 
 
-def render_tokens(results: Iterable[SenseTaggedToken]) -> str:
-    """Render results as output lines, without the header."""
-    # status._value_ is the plain attribute behind the slower .value property
-    return "".join([
-        f"{token.index}\t{token.surface}\t{_MISSING if coarse is None else coarse}"
-        f"\t{status._value_}\t{_MISSING if homograph_id is None else homograph_id}\n"
-        for token, coarse, status, homograph_id, _ in results
-    ])
+def render_tokens(results: Iterable[Token]) -> str:
+    """Render tagged tokens as output lines, without the header."""
+    return "".join([f"{index}{record.tail}" for index, _, record in results])
 
 
-def status_counts(results: Iterable[SenseTaggedToken]) -> Counter[TokenStatus]:
-    """Tally of token statuses, for run summaries."""
-    return Counter(map(_status_of, results))
+def status_counts(results: Iterable[Token]) -> Counter[TokenStatus]:
+    """Tally of tagged tokens' statuses, for run summaries."""
+    return Counter(map(_status_of, map(_record_of, results)))

@@ -3,7 +3,7 @@
 from homograph_tagger import (
     Homograph,
     Lexicon,
-    TaggedToken,
+    LineRecord,
     WordTypeEntry,
     default_vocabulary,
 )
@@ -30,11 +30,4 @@ def make_lexicon(*entries, vocabulary=None):
 
 
 def tok(surface, fine, lemma=None, gold=None, index=0, line=None):
-    return TaggedToken(
-        index=index,
-        surface=surface,
-        fine_tag=fine,
-        lemma=lemma,
-        gold_homograph_id=gold,
-        line=line,
-    )
+    return index, line, LineRecord(surface, fine, lemma, gold)

@@ -132,10 +132,11 @@ def test_a5_assignments_are_pos_consistent_on_random_tokens(news_lexicon, penn):
         surface = rnd.choice([word, word.capitalize(), word.upper(), "zzq" + word])
         lemma = word if surface.startswith("zzq") and rnd.random() < 0.5 else None
         token = tok(surface, rnd.choice(fines), lemma=lemma, index=i)
+        _, _, fields = token
         result = disambiguate_token(news_lexicon, penn, token)
         seen[result.status] += 1
-        coarse = penn.entries[token.fine_tag]
-        entry = lookup(news_lexicon, token.lemma or token.surface)
+        coarse = penn.entries[fields.fine_tag]
+        entry = lookup(news_lexicon, fields.lemma or fields.surface)
         if result.status is TokenStatus.CLOSED_CLASS:
             assert coarse not in penn.open_class
         elif result.status is TokenStatus.UNKNOWN_WORD:
@@ -157,7 +158,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
     results = [r for d in docs for r in tag_document(news_lexicon, penn, d)]
     self_gold = [
         r.homograph_id if r.open_class and r.homograph_id is not None else None
-        for r in results
+        for _, _, r in results
     ]
     self_report = evaluate(news_lexicon, results, self_gold)
     assert self_report.accuracy_overall == 1.0
@@ -181,7 +182,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
     mixed_lexicon = load_lexicon(fixtures_dir / "eval_mixed_lexicon.jsonl")
     mixed_docs = list(read_corpus(fixtures_dir / "eval_mixed_corpus.tsv"))
     mixed_results = [r for d in mixed_docs for r in tag_document(mixed_lexicon, penn, d)]
-    mixed_gold = [r.token.gold_homograph_id for r in mixed_results]
+    mixed_gold = [r.gold_homograph_id for _, _, r in mixed_results]
     mixed = evaluate(mixed_lexicon, mixed_results, mixed_gold)
     assert mixed.accuracy_overall == 9 / 10
     assert mixed.accuracy_poly == 5 / 6
@@ -195,7 +196,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
 def test_a7_fixture_corpus_is_majority_polyhomographic(fixtures_dir, news_lexicon, penn, news_counts):
     docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     results = [r for d in docs for r in tag_document(news_lexicon, penn, d)]
-    gold = [r.token.gold_homograph_id for r in results]
+    gold = [r.gold_homograph_id for _, _, r in results]
     report = evaluate(news_lexicon, results, gold)
     expected_share = (
         news_counts["poly_share_numerator"] / news_counts["poly_share_denominator"]

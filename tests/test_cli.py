@@ -261,6 +261,32 @@ def test_tag_unmapped_tag_fails_with_tag_and_line(runner, fixtures_dir, tmp_path
     assert "line 2" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a document is read whole before its first unmapped tag is reported
+        ("odd\tBES\nbad\n", "{corpus}:2: expected 2 to 4 tab-separated fields, got 1"),
+        ("odd\tBES\n\nbad\n", "unmapped fine tag 'BES' (line 1)"),
+        ("ok\tNN\nodd\tBES\nodd\tBES\n", "unmapped fine tag 'BES' (line 2)"),
+        # a line that failed is never remembered: each error names its first occurrence
+        ("ok\tNN\nbad\nok\tNN\nbad\n", "{corpus}:2: expected 2 to 4 tab-separated fields, got 1"),
+        ("ok\tNN\n\nok\tNN\t\t0\nok\tNN\t\t0\n", "{corpus}:3: gold homograph id must be >= 1"),
+    ],
+    ids=["corpus-error-later-in-document", "unmapped-tag-in-earlier-document",
+         "repeated-unmapped-tag", "repeated-malformed-line", "repeated-bad-gold-id"],
+)
+def test_tag_reports_the_first_error_in_reading_order(runner, fixtures_dir, tmp_path, text, message):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(text, encoding="utf-8")
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", corpus,
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {message.format(corpus=corpus)}\n"
+
+
 def test_tag_lenient_passes_unmapped_tags_through(runner, fixtures_dir, tmp_path):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("ok\tNN\nodd\tBES\n", encoding="utf-8")
@@ -466,6 +492,21 @@ def test_tag_memory_does_not_grow_with_the_corpus(runner, fixtures_dir, tmp_path
     assert peaks[200] < 1.5 * peaks[20], peaks
 
 
+def test_tag_memory_stays_flat_when_no_line_repeats(runner, fixtures_dir, tmp_path, monkeypatch):
+    # every token line is new, so only the line table's bound keeps it from growing
+    monkeypatch.setattr("homograph_tagger.pipeline.LINE_TABLE_SIZE", 64)
+    lexicon = fx(fixtures_dir, "pipeline_lexicon.jsonl")
+    peaks = {}
+    for n_documents in (20, 200):
+        documents = (
+            "".join(f"bank\tNN\tbank{d}x{t}\n" for t in range(50)) for d in range(n_documents)
+        )
+        corpus = tmp_path / f"c{n_documents}.tsv"
+        corpus.write_text("\n".join(documents), encoding="utf-8")
+        peaks[n_documents] = _peak_traced_bytes(runner, lexicon, corpus, tmp_path / "out.tsv")
+    assert peaks[200] < 1.5 * peaks[20], peaks
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -478,6 +519,19 @@ def test_eval_text_report(runner, fixtures_dir):
     )
     assert result.exit_code == 0
     assert result.stdout.endswith("overall: 90.0% poly: 83.3% mono: 100.0% poly-share: 60.0%\n")
+
+
+def test_eval_prints_the_tag_summary_line(runner, fixtures_dir, tmp_path):
+    result = invoke(
+        runner, "eval",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", fx(fixtures_dir, "news_corpus.tsv"),
+        "--report", tmp_path / "report.txt",
+    )
+    assert result.exit_code == 0
+    assert result.stderr == (
+        "tagged 209 tokens in 5 documents: 107 matched, 3 fallback, 7 unknown, 92 closed-class\n"
+    )
 
 
 def test_eval_structured_report_to_file(runner, fixtures_dir, tmp_path):

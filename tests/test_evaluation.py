@@ -17,7 +17,7 @@ from support import make_entry, make_lexicon, tok
 
 def tag_corpus(lexicon, mapping, docs):
     results = [r for doc in docs for r in tag_document(lexicon, mapping, doc)]
-    gold = [r.token.gold_homograph_id for r in results]
+    gold = [r.gold_homograph_id for _, _, r in results]
     return results, gold
 
 
@@ -55,7 +55,7 @@ def test_self_gold_scores_everything_correct(fixtures_dir, news_lexicon, penn):
     results, _ = tag_corpus(news_lexicon, penn, docs)
     self_gold = [
         r.homograph_id if r.open_class and r.homograph_id is not None else None
-        for r in results
+        for _, _, r in results
     ]
     report = evaluate(news_lexicon, results, self_gold)
     assert report.accuracy_overall == 1.0
@@ -71,7 +71,7 @@ def test_monohomographic_corpus_scores_one(penn):
         tok("sofa", "JJ", gold=1, index=2),  # fallback, still homograph 1
     ))
     results = tag_document(lexicon, penn, doc)
-    report = evaluate(lexicon, results, [t.gold_homograph_id for t in doc.tokens])
+    report = evaluate(lexicon, results, [t.gold_homograph_id for _, _, t in doc.tokens])
     assert report.accuracy_overall == 1.0
     assert report.accuracy_mono == 1.0
     assert report.accuracy_poly is None

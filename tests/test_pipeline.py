@@ -10,6 +10,7 @@ from homograph_tagger import (
     read_corpus,
     render_output,
     status_counts,
+    tag_corpus,
     tag_document,
 )
 from support import make_entry, make_lexicon, tok
@@ -39,12 +40,12 @@ def test_read_corpus_fixture_shape(fixtures_dir):
     docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     assert [d.doc_id for d in docs] == [f"article-{i}" for i in range(1, 6)]
     assert sum(len(d.tokens) for d in docs) == 209
-    first = docs[0].tokens[1]
+    _, _, first = docs[0].tokens[1]
     assert (first.surface, first.fine_tag, first.lemma) == ("bank", "NN", None)
     assert first.gold_homograph_id == 1
     # indexes restart inside every document
     for doc in docs:
-        assert [t.index for t in doc.tokens] == list(range(len(doc.tokens)))
+        assert [index for index, _, _ in doc.tokens] == list(range(len(doc.tokens)))
 
 
 def test_read_corpus_assigns_implicit_ids_by_position(tmp_path):
@@ -79,17 +80,17 @@ def test_read_corpus_ignores_a_bom_before_a_document_header(tmp_path):
 def test_read_corpus_skips_comments_but_not_hash_tokens(tmp_path):
     path = write_corpus(tmp_path, "# a comment\nwell\tUH\n#\t#\n#word\tNN\n")
     (doc,) = list(read_corpus(path))
-    assert [t.surface for t in doc.tokens] == ["well", "#"]
-    assert doc.tokens[1].fine_tag == "#"
+    assert [t.surface for _, _, t in doc.tokens] == ["well", "#"]
+    assert doc.tokens[1][2].fine_tag == "#"
 
 
 def test_read_corpus_field_handling(tmp_path):
     path = write_corpus(tmp_path, "a\tNN\nb\tNN\tlem\nc\tNN\t\t2\nd\tNN\tlem\t3\n")
     (doc,) = list(read_corpus(path))
-    assert [(t.lemma, t.gold_homograph_id) for t in doc.tokens] == [
+    assert [(t.lemma, t.gold_homograph_id) for _, _, t in doc.tokens] == [
         (None, None), ("lem", None), (None, 2), ("lem", 3),
     ]
-    assert [t.line for t in doc.tokens] == [1, 2, 3, 4]
+    assert [line for _, line, _ in doc.tokens] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -222,8 +223,8 @@ def test_tag_document_keeps_token_order(lex, penn):
     doc = Document("d", (tok("The", "DT", index=0), tok("bank", "NN", index=1),
                          tok("files", "VBZ", lemma="file", index=2)))
     results = tag_document(lex, penn, doc)
-    assert [r.status.value for r in results] == ["C", "M", "M"]
-    assert [r.token.index for r in results] == [0, 1, 2]
+    assert [r.status.value for _, _, r in results] == ["C", "M", "M"]
+    assert [index for index, _, _ in results] == [0, 1, 2]
     counted = status_counts(results)
     assert counted[TokenStatus.MATCHED] == 2
     assert counted[TokenStatus.CLOSED_CLASS] == 1
@@ -253,6 +254,22 @@ def test_full_fixture_run_matches_the_hand_traced_golden(fixtures_dir, news_lexi
     results = [r for doc in docs for r in tag_document(news_lexicon, penn, doc)]
     golden = (fixtures_dir / "news_corpus_tagged.golden").read_text("utf-8")
     assert render_output(results) == golden
+
+
+def test_tag_corpus_is_read_corpus_then_tag_document(fixtures_dir, news_lexicon, penn, monkeypatch):
+    path = fixtures_dir / "news_corpus.tsv"
+    two_steps = [(d.doc_id, tuple(tag_document(news_lexicon, penn, d))) for d in read_corpus(path)]
+    one_pass = [(d.doc_id, d.tokens) for d in tag_corpus(news_lexicon, penn, path)]
+    assert one_pass == two_steps
+    # tokens on equal lines share one record
+    records = [record for _, tokens in one_pass for _, _, record in tokens]
+    assert len({id(r) for r in records}) == len(set(records)) < len(records)
+    # a scorer's run makes no output lines, and the rest of each record is the same
+    scored = [r for d in tag_corpus(news_lexicon, penn, path, render=False) for _, _, r in d.tokens]
+    assert scored == [r._replace(tail=None) for r in records]
+    # a table that holds one line forgets each line as the next comes in
+    monkeypatch.setattr("homograph_tagger.pipeline.LINE_TABLE_SIZE", 1)
+    assert [(d.doc_id, d.tokens) for d in tag_corpus(news_lexicon, penn, path)] == two_steps
 
 
 def test_tagging_agrees_with_the_hand_assignment_rule(fixtures_dir, news_lexicon, penn):

@@ -193,12 +193,12 @@ def news_words(news_lexicon):
 def test_every_token_is_accounted_for(news_lexicon, penn, news_words, data):
     docs = data.draw(random_documents(news_words))
     for doc in docs:
-        for result in tag_document(news_lexicon, penn, doc):
+        for _, _, result in tag_document(news_lexicon, penn, doc):
             assert result.polyhomographic == (result.n_homographs >= 2)
             if result.status in (TokenStatus.MATCHED, TokenStatus.FALLBACK):
                 assert result.open_class
                 assert result.homograph_id is not None
-                entry = lookup(news_lexicon, result.token.lemma or result.token.surface)
+                entry = lookup(news_lexicon, result.lemma or result.surface)
                 assert result.n_homographs == len(entry.homographs)
                 assert result.polyhomographic == (len(entry.homographs) >= 2)
                 if result.status is TokenStatus.MATCHED:
@@ -262,12 +262,13 @@ def corpus_token(draw, records):
 
 @st.composite
 def corpus_documents(draw, records):
-    """Documents as (declared, tokens); a document without a `# doc:` header has tokens."""
+    """Documents as (declared, tokens); a document without a `# doc:` header has tokens.
+
+    Tokens come from a small pool, so equal lines repeat within and across documents.
+    """
+    pool = st.sampled_from(draw(st.lists(corpus_token(records), min_size=1, max_size=6)))
     declared = draw(st.lists(st.booleans(), min_size=1, max_size=5))
-    return [
-        (d, draw(st.lists(corpus_token(records), min_size=0 if d else 1, max_size=8)))
-        for d in declared
-    ]
+    return [(d, draw(st.lists(pool, min_size=0 if d else 1, max_size=8))) for d in declared]
 
 
 def corpus_text(documents, blank_before_header):
@@ -293,6 +294,21 @@ def corpus_text(documents, blank_before_header):
 def test_tag_and_eval_commands_match_the_oracles(
     fixtures_dir, tmp_path, news_records, penn_table, data
 ):
+    check_commands_against_the_oracles(fixtures_dir, tmp_path, news_records, penn_table, data)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(data=st.data())
+def test_tag_and_eval_commands_match_the_oracles_when_the_line_table_holds_one_line(
+    fixtures_dir, tmp_path, news_records, penn_table, monkeypatch, data
+):
+    # the reader empties its table on every new line, so repeated lines are
+    # found, forgotten and tagged again
+    monkeypatch.setattr("homograph_tagger.pipeline.LINE_TABLE_SIZE", 1)
+    check_commands_against_the_oracles(fixtures_dir, tmp_path, news_records, penn_table, data)
+
+
+def check_commands_against_the_oracles(fixtures_dir, tmp_path, news_records, penn_table, data):
     documents = data.draw(corpus_documents(news_records))
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text(corpus_text(documents, data.draw(st.booleans())), encoding="utf-8")
@@ -312,6 +328,8 @@ def test_tag_and_eval_commands_match_the_oracles(
         report = json.loads(scored.stdout)
         counts = oracles.trace_counts(list(news_records.values()), *penn_table, token_lists)
         assert {name: report[name] for name in EVAL_COUNTS} == counts
+        # eval's summary line comes from its report, tag's from counting the tokens
+        assert scored.stderr == tagged.stderr
     else:
         assert scored.exit_code == 1
         assert "no gold homograph annotations" in scored.stderr
