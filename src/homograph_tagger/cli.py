@@ -25,15 +25,12 @@ have printed a prefix of its output; it still exits 1 (or 2) with one
 `error:` line on stderr. A run whose stdout pipe the reader closes early
 (`tag ... | head`) stops quietly: exit 1, nothing on stderr.
 
-The lexicon is loaded once and kept until the command ends, so the CLI
-keeps it out of the cyclic garbage collector: `load_lexicon` pauses the
-collector while it builds the lexicon (its own part, for any caller);
-`_load_lexicon` keeps it paused past the load, freezes the lexicon
-before the collector runs again, and has the command's context put the
-collector back as it found it when the command ends, however it ends:
-enabled or disabled as before, and unfrozen if nothing was frozen
-before. A caller that runs commands in-process, such as a test runner,
-so accumulates no frozen objects.
+The cyclic garbage collector is off for the whole command: `_Main.invoke`
+disables it before the command runs and enables it again when the
+command ends, however it ends, if it was on before. That is safe because
+a command makes no reference cycles: reference counting frees all that
+it drops, so a collection could free nothing and would only rescan what
+the command still holds, the lexicon first of all.
 """
 
 from __future__ import annotations
@@ -74,49 +71,35 @@ _gold_of = attrgetter("gold_homograph_id")
 
 
 class _Main(click.Group):
-    """The command group; turns every data or I/O failure into one `error:` line."""
+    """The command group; turns every data or I/O failure into one `error:` line.
+
+    Each command runs with the cyclic garbage collector off (see the module docstring).
+    """
 
     def invoke(self, ctx):
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except TaggerDataError as exc:
-            code, message = EXIT_DATA_ERROR, exc
+            # keep the text, not the exception: its traceback holds this frame,
+            # so the two would make a cycle that keeps the command's locals alive
+            code, message = EXIT_DATA_ERROR, str(exc)
         except BrokenPipeError:
             # click's own handler exits 1 without a message or a traceback
             raise
         except OSError as exc:
-            code, message = EXIT_USAGE_ERROR, exc
+            code, message = EXIT_USAGE_ERROR, str(exc)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         print(f"error: {message}", file=sys.stderr)
         ctx.exit(code)
 
 
 def _load_lexicon(lexicon_path, vocabulary_path):
-    """Load the lexicon and freeze it: no later collection scans it again.
-
-    The lexicon lives until the command ends, and holds no cycles, so
-    the cyclic collector could never free any of it; freezing moves it
-    out of every generation. The collector stays off from before the
-    load until the freeze, so not even one pass runs over the fresh
-    lexicon. When the command ends, normally or on an error, its context
-    puts the collector back as this found it.
-    """
-    gc_was_enabled, gc_was_frozen = gc.isenabled(), gc.get_freeze_count()
-    click.get_current_context().call_on_close(
-        lambda: _restore_collector(gc_was_enabled, gc_was_frozen)
-    )
     vocabulary = load_vocabulary(vocabulary_path) if vocabulary_path else default_vocabulary()
-    gc.disable()
-    lexicon = load_lexicon(lexicon_path, vocabulary)
-    gc.freeze()
-    if gc_was_enabled:
-        gc.enable()
-    return lexicon
-
-
-def _restore_collector(was_enabled, was_frozen):
-    if not was_frozen:
-        gc.unfreeze()
-    (gc.enable if was_enabled else gc.disable)()
+    return load_lexicon(lexicon_path, vocabulary)
 
 
 def _load_tagmap(tagmap_path, vocabulary):

@@ -28,9 +28,10 @@ The loader validates each record in one walk that also builds its
 homographs, then derives the tag table from them, with the cyclic
 garbage collector paused until the Lexicon and its index exist. The
 lexicon holds no reference cycles, so the collector can never free any
-of it; a caller that keeps it for the rest of the process should freeze
-it (`gc.freeze()`) before the next collection, as the CLI does, so that
-no later collection scans it again.
+of it; a caller that keeps it for the rest of the process can freeze it
+(`gc.freeze()`) before the next collection, so that no later collection
+scans it again. The CLI instead keeps the collector off for the whole
+command (see `cli`).
 """
 
 from __future__ import annotations
@@ -197,10 +198,11 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     cycles, so a collection during the load would free nothing, yet each
     full pass rescans the growing lexicon. Keeping the loaded lexicon out
     of later collections is the caller's part, since only the caller
-    knows how long it lives: the CLI freezes it (see `cli`). A library
-    caller whose collector is on pays as the lexicon ages through the
-    collector's generations: a generation-0, a generation-1 and a full
-    collection each scan all of it, and so does every later full one.
+    knows how long it lives: the CLI keeps the collector off until the
+    command ends (see `cli`). A library caller whose collector is on
+    pays as the lexicon ages through the collector's generations: a
+    generation-0, a generation-1 and a full collection each scan all of
+    it, and so does every later full one.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -192,7 +192,9 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
     ordinal = 0
     current_id: str | None = None
     tokens: list[Token] = []
-    unmapped: UnmappedTagError | None = None
+    # the unmapped tag and its line, not the error: this frame is in the
+    # error's traceback, so an error kept here would make a reference cycle
+    unmapped: tuple[str, int] | None = None
     with numbered_lines(path, CorpusError) as lines:
         for lineno, raw in lines:
             record = known(raw)
@@ -232,7 +234,7 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                 record = record_of(surface, fine, lemma, gold)
                 if record is None:
                     # kept as a token, so that the document ends where it would
-                    unmapped = unmapped or UnmappedTagError(fine, line=lineno)
+                    unmapped = unmapped or (fine, lineno)
                     record = _untagged(surface, fine, lemma, gold)
                 else:
                     if len(table) >= limit:
@@ -248,10 +250,10 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
         raise CorpusError(f"{source}: empty corpus (no documents)")
 
 
-def _ended(doc_id: str, tokens: list[Token], unmapped: UnmappedTagError | None) -> Document:
+def _ended(doc_id: str, tokens: list[Token], unmapped: tuple[str, int] | None) -> Document:
     """The document that has just been read, unless a fine tag in it was unmapped."""
     if unmapped is not None:
-        raise unmapped
+        raise UnmappedTagError(*unmapped)
     return Document(doc_id, tuple(tokens))
 
 

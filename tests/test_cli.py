@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from importlib.resources import files
 from pathlib import Path
 
@@ -466,10 +467,15 @@ def test_tag_writes_into_a_device_directly(runner, fixtures_dir):
     assert "tagged 209 tokens in 5 documents" in result.stderr
 
 
-def _peak_traced_bytes(runner, lexicon, corpus, out):
+_OUTPUT_OPTION = {"tag": "--out", "eval": "--report"}
+
+
+def _peak_traced_bytes(runner, command, lexicon, corpus, out):
     tracemalloc.start()
     try:
-        result = invoke(runner, "tag", "--lexicon", lexicon, "--corpus", corpus, "--out", out)
+        result = invoke(
+            runner, command, "--lexicon", lexicon, "--corpus", corpus, _OUTPUT_OPTION[command], out
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -477,7 +483,10 @@ def _peak_traced_bytes(runner, lexicon, corpus, out):
     return peak
 
 
-def test_tag_memory_does_not_grow_with_the_corpus(runner, fixtures_dir, tmp_path):
+@pytest.mark.parametrize("command", ["tag", "eval"])
+def test_memory_does_not_grow_with_the_corpus(runner, fixtures_dir, tmp_path, command):
+    # the collector is off during the run, so only a loop that makes no
+    # reference cycles keeps the peak flat
     lexicon = fx(fixtures_dir, "pipeline_lexicon.jsonl")
     token_lines = [
         line for line in (fixtures_dir / "news_corpus.tsv").read_text("utf-8").splitlines(True)
@@ -488,7 +497,9 @@ def test_tag_memory_does_not_grow_with_the_corpus(runner, fixtures_dir, tmp_path
     for n_documents in (20, 200):
         corpus = tmp_path / f"c{n_documents}.tsv"
         corpus.write_text("\n".join([document] * n_documents), encoding="utf-8")
-        peaks[n_documents] = _peak_traced_bytes(runner, lexicon, corpus, tmp_path / "out.tsv")
+        peaks[n_documents] = _peak_traced_bytes(
+            runner, command, lexicon, corpus, tmp_path / "out.txt"
+        )
     assert peaks[200] < 1.5 * peaks[20], peaks
 
 
@@ -503,7 +514,7 @@ def test_tag_memory_stays_flat_when_no_line_repeats(runner, fixtures_dir, tmp_pa
         )
         corpus = tmp_path / f"c{n_documents}.tsv"
         corpus.write_text("\n".join(documents), encoding="utf-8")
-        peaks[n_documents] = _peak_traced_bytes(runner, lexicon, corpus, tmp_path / "out.tsv")
+        peaks[n_documents] = _peak_traced_bytes(runner, "tag", lexicon, corpus, tmp_path / "out.tsv")
     assert peaks[200] < 1.5 * peaks[20], peaks
 
 
@@ -578,69 +589,120 @@ def test_eval_gold_out_of_range_fails(runner, fixtures_dir, tmp_path):
 # the garbage collector
 
 
-def _tag_fixture(runner, fixtures_dir, lexicon):
-    return invoke(
-        runner, "tag", "--lexicon", lexicon, "--corpus", fx(fixtures_dir, "news_corpus.tsv")
-    )
+def _fixture_args(fixtures_dir, tmp_path, args):
+    # bad.jsonl is a malformed lexicon, missing.tsv does not exist, any other file is a fixture
+    (tmp_path / "bad.jsonl").write_text('{"word": "x"}\n', encoding="utf-8")
+    local = {"bad.jsonl", "missing.tsv"}
+    return [
+        a if "." not in a else tmp_path / a if a in local else fixtures_dir / a for a in args
+    ]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("lexicon_ok", [True, False], ids=["ok", "data-error"])
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["tag", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "news_corpus.tsv"], 0),
+        (["tag", "--lexicon", "bad.jsonl", "--corpus", "news_corpus.tsv"], 1),
+        (["tag", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "missing.tsv"], 2),
+        (["tag", "--lexicon", "pipeline_lexicon.jsonl"], 2),
+        (["eval", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "news_corpus.tsv"], 0),
+        (["analyze", "--lexicon", "pipeline_lexicon.jsonl"], 0),
+        (["validate", "--lexicon", "pipeline_lexicon.jsonl"], 0),
+    ],
+    ids=["ok", "data-error", "io-error", "usage-error", "eval", "analyze", "validate"],
+)
 def test_a_run_leaves_the_garbage_collector_as_it_was(
-    runner, fixtures_dir, tmp_path, enabled, lexicon_ok
+    runner, fixtures_dir, tmp_path, enabled, args, exit_code
 ):
-    if lexicon_ok:
-        lexicon = fx(fixtures_dir, "pipeline_lexicon.jsonl")
-    else:
-        lexicon = tmp_path / "bad.jsonl"
-        lexicon.write_text('{"word": "x"}\n', encoding="utf-8")
+    args = _fixture_args(fixtures_dir, tmp_path, args)
     was_enabled = gc.isenabled()
-    # the run unfreezes what it froze only when nothing was frozen before it
+    # start with nothing frozen (Python 3.12 starts with some), so that anything the run froze shows
     gc.unfreeze()
     (gc.enable if enabled else gc.disable)()
     try:
-        result = _tag_fixture(runner, fixtures_dir, lexicon)
+        result = invoke(runner, *args)
         after = (gc.isenabled(), gc.get_freeze_count())
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert result.exit_code == (0 if lexicon_ok else 1), result.stderr
+    assert result.exit_code == exit_code, result.output
     assert after == (enabled, 0)
 
 
-def test_no_collection_runs_between_the_lexicon_load_and_the_freeze(
-    runner, fixtures_dir, monkeypatch
-):
+@pytest.mark.parametrize("command", ["tag", "eval"])
+def test_no_collection_starts_while_a_command_runs(runner, fixtures_dir, monkeypatch, command):
     events = []
-    load, freeze = cli.load_lexicon, gc.freeze
+    load, summary = cli.load_lexicon, cli._summary
 
     def probed_load(*args):
         events.append("load")
         return load(*args)
 
-    def probed_freeze():
-        # with as many young objects as the load leaves, the next allocation
-        # would start a collection if the collector were on
-        events.append("freeze" if gc.get_count()[0] > gc.get_threshold()[0] else "freeze, none due")
-        freeze()
+    def probed_summary(*args):
+        events.append("summary")
+        return summary(*args)
 
     def probe(phase, info):
         if phase == "start":
             events.append("collect")
 
     monkeypatch.setattr(cli, "load_lexicon", probed_load)
-    monkeypatch.setattr(gc, "freeze", probed_freeze)
-    was_enabled = gc.isenabled()
-    gc.unfreeze()
+    monkeypatch.setattr(cli, "_summary", probed_summary)
+    was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+    # with the collector on and a threshold of 1, almost every allocation starts a collection
+    gc.enable()
+    gc.set_threshold(1)
     gc.callbacks.append(probe)
     try:
-        result = _tag_fixture(runner, fixtures_dir, fx(fixtures_dir, "pipeline_lexicon.jsonl"))
-        after = (gc.isenabled(), gc.get_freeze_count())
+        result = invoke(
+            runner, command,
+            "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+            "--corpus", fx(fixtures_dir, "news_corpus.tsv"),
+        )
     finally:
         gc.callbacks.remove(probe)
+        gc.set_threshold(*threshold)
+        (gc.enable if was_enabled else gc.disable)()
     assert result.exit_code == 0, result.stderr
-    start = events.index("load")
-    assert events[start:start + 2] == ["load", "freeze"], events
-    assert after == (was_enabled, 0)
+    # the probe works: collections start before and after the command
+    assert "collect" in events
+    assert events[events.index("load"):events.index("summary") + 1] == ["load", "summary"]
+
+
+@pytest.mark.parametrize(
+    "corpus_text, exit_code",
+    [("bank\tNN\t\t1\t-\n", 1), ("bank\tXYZ\n", 1), (None, 2)],
+    ids=["data-error", "unmapped-tag", "io-error"],
+)
+def test_a_failed_run_frees_its_lexicon(
+    runner, fixtures_dir, tmp_path, monkeypatch, corpus_text, exit_code
+):
+    lexicons = []
+    load = cli.load_lexicon
+
+    def probed_load(*args):
+        lexicon = load(*args)
+        lexicons.append(weakref.ref(lexicon))
+        return lexicon
+
+    monkeypatch.setattr(cli, "load_lexicon", probed_load)
+    corpus = tmp_path / "c.tsv"
+    if corpus_text is not None:
+        corpus.write_text(corpus_text, encoding="utf-8")
+    was_enabled = gc.isenabled()
+    # with the collector off, only reference counting can free the lexicon
+    gc.disable()
+    try:
+        result = invoke(
+            runner, "tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", corpus
+        )
+        freed = lexicons[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert result.exit_code == exit_code, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert freed
 
 
 # ---------------------------------------------------------------------------
