@@ -19,7 +19,6 @@ from .errors import (
 )
 from .evaluation import EvalReport, evaluate, render_report
 from .lexicon import (
-    DisambCategory,
     Homograph,
     Lexicon,
     TaxonomyReport,
@@ -38,7 +37,6 @@ from .pipeline import (
     Document,
     LineRecord,
     Token,
-    TokenStatus,
     disambiguate_token,
     read_corpus,
     render_output,

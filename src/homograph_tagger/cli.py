@@ -15,7 +15,8 @@ and each distinct token line is checked and tagged once, in a table of
 bounded size, so memory does not grow with the corpus. Both print the
 same one-line summary of token statuses to stderr when they succeed:
 `tag` counts the statuses of the tokens it writes, and `eval` reads
-them from its report, which has counted every token's status.
+them from its report, which has counted every token's status. A status
+is its output letter ("M", "F", "U" or "C") from tagger to summary.
 A file named by `--out` or `--report` is written all-or-nothing: the
 run writes a temporary file in the same directory and renames it over
 the target only on success, so a failed or interrupted run leaves no
@@ -25,17 +26,13 @@ have printed a prefix of its output; it still exits 1 (or 2) with one
 `error:` line on stderr. A run whose stdout pipe the reader closes early
 (`tag ... | head`) stops quietly: exit 1, nothing on stderr.
 
-The cyclic garbage collector is off for the whole command: `_Main.invoke`
-disables it before the command runs and enables it again when the
-command ends, however it ends, if it was on before. That is safe because
-a command makes no reference cycles: reference counting frees all that
-it drops, so a collection could free nothing and would only rescan what
-the command still holds, the lexicon first of all.
+`_Main.invoke` runs the whole command inside `util.collector_paused`,
+so the cyclic garbage collector never rescans the lexicon while the
+command holds it, and is put back as it was however the command ends.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from collections import Counter
@@ -55,14 +52,9 @@ from .lexicon import (
     load_vocabulary,
     render_taxonomy,
 )
-from .pipeline import (
-    OUTPUT_HEADER,
-    TokenStatus,
-    render_tokens,
-    status_counts,
-    tag_corpus,
-)
+from .pipeline import OUTPUT_HEADER, render_tokens, status_counts, tag_corpus
 from .tagmap import default_tagmap, load_tagmap
+from .util import collector_paused
 
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
@@ -73,14 +65,13 @@ _gold_of = attrgetter("gold_homograph_id")
 class _Main(click.Group):
     """The command group; turns every data or I/O failure into one `error:` line.
 
-    Each command runs with the cyclic garbage collector off (see the module docstring).
+    Each command runs inside `util.collector_paused` (see the module docstring).
     """
 
     def invoke(self, ctx):
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
         try:
-            return super().invoke(ctx)
+            with collector_paused():
+                return super().invoke(ctx)
         except TaggerDataError as exc:
             # keep the text, not the exception: its traceback holds this frame,
             # so the two would make a cycle that keeps the command's locals alive
@@ -90,9 +81,6 @@ class _Main(click.Group):
             raise
         except OSError as exc:
             code, message = EXIT_USAGE_ERROR, str(exc)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         print(f"error: {message}", file=sys.stderr)
         ctx.exit(code)
 
@@ -106,14 +94,12 @@ def _load_tagmap(tagmap_path, vocabulary):
     return load_tagmap(tagmap_path, vocabulary) if tagmap_path else default_tagmap(vocabulary)
 
 
-def _summary(n_documents: int, counts: Mapping[TokenStatus, int]) -> str:
-    """The stderr line that ends a successful tag or eval run."""
+def _summary(n_documents: int, counts: Mapping[str, int]) -> str:
+    """The stderr line that ends a successful tag or eval run, from counts by status letter."""
     return (
         f"tagged {sum(counts.values())} tokens in {n_documents} documents:"
-        f" {counts[TokenStatus.MATCHED]} matched,"
-        f" {counts[TokenStatus.FALLBACK]} fallback,"
-        f" {counts[TokenStatus.UNKNOWN_WORD]} unknown,"
-        f" {counts[TokenStatus.CLOSED_CLASS]} closed-class"
+        f" {counts['M']} matched, {counts['F']} fallback,"
+        f" {counts['U']} unknown, {counts['C']} closed-class"
     )
 
 
@@ -252,7 +238,7 @@ def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, le
     # the first document is tagged before any output is opened, so a corpus
     # that fails at once (missing, empty, malformed at the top) prints nothing
     documents = chain([next(stream)], stream)
-    counts: Counter[TokenStatus] = Counter()
+    counts: Counter[str] = Counter()
     n_documents = 0
     with _output(output_path) as out:
         out.write(f"{OUTPUT_HEADER}\n")
@@ -316,9 +302,9 @@ def eval_command(
     # evaluate has counted every open-class token as matched, fallback or unknown
     known = report.n_open_class - report.n_unknown
     counts = {
-        TokenStatus.MATCHED: known - report.fallback_count,
-        TokenStatus.FALLBACK: report.fallback_count,
-        TokenStatus.UNKNOWN_WORD: report.n_unknown,
-        TokenStatus.CLOSED_CLASS: n_tokens - report.n_open_class,
+        "M": known - report.fallback_count,
+        "F": report.fallback_count,
+        "U": report.n_unknown,
+        "C": n_tokens - report.n_open_class,
     }
     print(_summary(n_documents, counts), file=sys.stderr)

@@ -15,8 +15,8 @@ from typing import Iterable
 
 from .errors import EvaluationError
 from .lexicon import Lexicon, normalize_key
-from .pipeline import Token, TokenStatus
-from .util import fmt_pct
+from .pipeline import Token
+from .util import fmt_pct, pct_of
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,13 @@ def evaluate(
             )
         record = tagged[2]
         status = record.status
-        if status is TokenStatus.CLOSED_CLASS:
+        if status == "C":
             continue
         n_open += 1
-        if status is TokenStatus.UNKNOWN_WORD:
+        if status == "U":
             n_unknown += 1
             continue
-        if status is TokenStatus.FALLBACK:
+        if status == "F":
             fallbacks += 1
         if gold_id is None:
             continue
@@ -118,8 +118,9 @@ def evaluate(
 def render_report(report: EvalReport, fmt: str = "text") -> str:
     """Render an EvalReport as a small text table or a flat JSON record.
 
-    The text view shows percentages to one decimal place (half-up) and
-    'n/a' for undefined ratios; the structured view keeps raw fractions.
+    The text view shows each ratio as a percentage of the counts, to
+    one decimal place (half-up), and 'n/a' where its denominator is
+    zero; the structured view keeps the report's raw fractions.
     """
     if fmt == "structured":
         return json.dumps(asdict(report)) + "\n"
@@ -134,10 +135,10 @@ def render_report(report: EvalReport, fmt: str = "text") -> str:
         f"  scored:          {scored} (mono {report.n_mono}, poly {report.n_poly})",
         f"  fallback:        {report.fallback_count}",
         "overall: {} poly: {} mono: {} poly-share: {}".format(
-            fmt_pct(report.accuracy_overall),
-            fmt_pct(report.accuracy_poly),
-            fmt_pct(report.accuracy_mono),
-            fmt_pct(report.poly_share),
+            fmt_pct(pct_of(report.correct_mono + report.correct_poly, scored)),
+            fmt_pct(pct_of(report.correct_poly, report.n_poly)),
+            fmt_pct(pct_of(report.correct_mono, report.n_mono)),
+            fmt_pct(pct_of(report.n_poly, scored)),
         ),
     ]
     return "\n".join(lines) + "\n"

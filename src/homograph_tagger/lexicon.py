@@ -25,19 +25,21 @@ frozen dataclass whose by_tag is derived from its homographs when it is
 made, as a Lexicon's index is derived from its entries.
 
 The loader validates each record in one walk that also builds its
-homographs, then derives the tag table from them, with the cyclic
-garbage collector paused until the Lexicon and its index exist. The
-lexicon holds no reference cycles, so the collector can never free any
-of it; a caller that keeps it for the rest of the process can freeze it
-(`gc.freeze()`) before the next collection, so that no later collection
-scans it again. The CLI instead keeps the collector off for the whole
-command (see `cli`).
+homographs, then derives the tag table from them, inside
+`util.collector_paused`. The lexicon holds no reference cycles, so the
+collector can never free any of it; a caller that keeps it for the rest
+of the process can freeze it (`gc.freeze()`) before the next
+collection, so that no later collection scans it again. The CLI instead
+runs the whole command inside the same pause (see `cli`).
+
+`classify_word_type` returns the category's report name:
+"monohomographic", "guaranteed", "possible" or "no-disambiguation".
+`analyze_lexicon` counts those names, and `render_taxonomy` prints the
+percentages `analyze_lexicon` rounded once, as stored.
 """
 
 from __future__ import annotations
 
-import enum
-import gc
 import json
 import re
 from collections import Counter
@@ -48,7 +50,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
-from .util import fmt_pct, numbered_lines, pct_of
+from .util import collector_paused, fmt_pct, numbered_lines, pct_of
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 # _new_tuple(Cls, fields) builds the NamedTuple Cls without running its Python-level __new__
@@ -105,15 +107,6 @@ def _parse_vocabulary(lines: Iterable[tuple[int, str]], source: str) -> tuple[st
 # data model
 
 
-class DisambCategory(enum.Enum):
-    """How far a correct coarse POS tag can narrow a word type's homographs."""
-
-    MONOHOMOGRAPHIC = "monohomographic"
-    GUARANTEED = "guaranteed"
-    POSSIBLE = "possible"
-    NO_DISAMBIGUATION = "no-disambiguation"
-
-
 class Homograph(NamedTuple):
     """A homograph: its coarse POS tags and its number of senses.
 
@@ -153,10 +146,6 @@ class WordTypeEntry:
     def sense_count(self) -> int:
         return sum(h.n_senses for h in self.homographs)
 
-    @property
-    def polyhomographic(self) -> bool:
-        return len(self.homographs) >= 2
-
 
 @dataclass(frozen=True)
 class Lexicon:
@@ -193,20 +182,16 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     tags, and empty homograph or sense lists are rejected with the
     offending line number in the message.
 
-    The cyclic garbage collector is paused until the Lexicon and its
-    index exist, then put back as it was: the entries hold no reference
-    cycles, so a collection during the load would free nothing, yet each
-    full pass rescans the growing lexicon. Keeping the loaded lexicon out
-    of later collections is the caller's part, since only the caller
-    knows how long it lives: the CLI keeps the collector off until the
-    command ends (see `cli`). A library caller whose collector is on
-    pays as the lexicon ages through the collector's generations: a
-    generation-0, a generation-1 and a full collection each scan all of
-    it, and so does every later full one.
+    The load runs inside `util.collector_paused`, since each collection
+    during it would rescan the growing lexicon. Keeping the loaded
+    lexicon out of later collections is the caller's part, since only
+    the caller knows how long it lives: the CLI runs the whole command
+    inside the same pause (see `cli`). A library caller whose collector
+    is on pays as the lexicon ages through the collector's generations:
+    a generation-0, a generation-1 and a full collection each scan all
+    of it, and so does every later full one.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         vocab = tuple(vocabulary) if vocabulary is not None else default_vocabulary()
         vocab_set = frozenset(vocab)
         source = str(path)
@@ -239,9 +224,6 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
                 first_line[entry.key] = lineno
                 entries.append(entry)
         return Lexicon(vocabulary=vocab, entries=tuple(entries))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _entry_from_record(record, vocab: frozenset[str], source: str, lineno: int) -> WordTypeEntry:
@@ -301,24 +283,25 @@ def _homograph_error(
 # disambiguation-bound analysis
 
 
-def classify_word_type(entry: WordTypeEntry) -> DisambCategory:
-    """Place a word type in the four-way POS-disambiguation taxonomy.
+def classify_word_type(entry: WordTypeEntry) -> str:
+    """Place a word type in the four-way POS-disambiguation taxonomy; return its name.
 
     Let count(c) be the number of homographs carrying coarse tag c, over
     the tags the word type can take at all. If every count is 1, a
     correct coarse tag always pins down a single homograph (guaranteed);
     if every count is 2 or more, no tag ever does (no-disambiguation);
     a mixture means some tags decide the homograph and some do not
-    (possible). Word types with one homograph are trivial.
+    (possible). Word types with one homograph are trivial
+    (monohomographic).
     """
     if len(entry.homographs) == 1:
-        return DisambCategory.MONOHOMOGRAPHIC
+        return "monohomographic"
     counts = [count for _, count in entry.by_tag.values()]
     if max(counts) <= 1:
-        return DisambCategory.GUARANTEED
+        return "guaranteed"
     if min(counts) >= 2:
-        return DisambCategory.NO_DISAMBIGUATION
-    return DisambCategory.POSSIBLE
+        return "no-disambiguation"
+    return "possible"
 
 
 @dataclass(frozen=True)
@@ -354,22 +337,21 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
     """Aggregate the four-way classification over a whole lexicon."""
     if not lexicon.entries:
         raise LexiconError("cannot analyze an empty lexicon")
-    by_category: Counter[DisambCategory] = Counter()
+    by_category: Counter[str] = Counter()
     n_polysemous = 0
-    n_polyhomographic = 0
     collisions: Counter[str] = Counter()
     for entry in lexicon.entries:
         by_category[classify_word_type(entry)] += 1
         if entry.sense_count() >= 2:
             n_polysemous += 1
-        if entry.polyhomographic:
-            n_polyhomographic += 1
         collisions.update(tag for tag, (_, count) in entry.by_tag.items() if count >= 2)
     n = len(lexicon.entries)
-    n_mono = by_category[DisambCategory.MONOHOMOGRAPHIC]
-    n_guaranteed = by_category[DisambCategory.GUARANTEED]
-    n_possible = by_category[DisambCategory.POSSIBLE]
-    n_none = by_category[DisambCategory.NO_DISAMBIGUATION]
+    n_mono = by_category["monohomographic"]
+    # every entry has at least one homograph
+    n_polyhomographic = n - n_mono
+    n_guaranteed = by_category["guaranteed"]
+    n_possible = by_category["possible"]
+    n_none = by_category["no-disambiguation"]
     histogram = {tag: collisions[tag] for tag in lexicon.vocabulary if collisions[tag]}
     return TaxonomyReport(
         n_word_types=n,
@@ -381,12 +363,8 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
         n_no_disambiguation=n_none,
         polysemous_pct=pct_of(n_polysemous, n),
         polyhomographic_pct=pct_of(n_polyhomographic, n),
-        guaranteed_pct_of_polyhomographic=(
-            pct_of(n_guaranteed, n_polyhomographic) if n_polyhomographic else None
-        ),
-        possible_pct_of_polyhomographic=(
-            pct_of(n_guaranteed + n_possible, n_polyhomographic) if n_polyhomographic else None
-        ),
+        guaranteed_pct_of_polyhomographic=pct_of(n_guaranteed, n_polyhomographic),
+        possible_pct_of_polyhomographic=pct_of(n_guaranteed + n_possible, n_polyhomographic),
         guaranteed_pct_all_types=pct_of(n_mono + n_guaranteed, n),
         possible_pct_all_types=pct_of(n_mono + n_guaranteed + n_possible, n),
         collision_histogram=histogram,
@@ -401,28 +379,21 @@ def render_taxonomy(report: TaxonomyReport, fmt: str = "text") -> str:
         return json.dumps(asdict(report)) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-    # the report holds percentages and fmt_pct takes fractions; both are
-    # None when the lexicon has no polyhomographic word types
-    guaranteed_of_poly = possible_of_poly = None
-    if report.n_polyhomographic:
-        guaranteed_of_poly = report.guaranteed_pct_of_polyhomographic / 100
-        possible_of_poly = report.possible_pct_of_polyhomographic / 100
     lines = [
         f"word types:      {report.n_word_types}",
-        f"polysemous:      {report.n_polysemous} ({fmt_pct(report.polysemous_pct / 100)})",
-        f"polyhomographic: {report.n_polyhomographic}"
-        f" ({fmt_pct(report.polyhomographic_pct / 100)})",
+        f"polysemous:      {report.n_polysemous} ({fmt_pct(report.polysemous_pct)})",
+        f"polyhomographic: {report.n_polyhomographic} ({fmt_pct(report.polyhomographic_pct)})",
         "categories:",
         f"  monohomographic:   {report.n_monohomographic}",
         f"  guaranteed:        {report.n_guaranteed}",
         f"  possible:          {report.n_possible}",
         f"  no-disambiguation: {report.n_no_disambiguation}",
         "of polyhomographic word types:",
-        f"  guaranteed:        {fmt_pct(guaranteed_of_poly)}",
-        f"  possible (cum.):   {fmt_pct(possible_of_poly)}",
+        f"  guaranteed:        {fmt_pct(report.guaranteed_pct_of_polyhomographic)}",
+        f"  possible (cum.):   {fmt_pct(report.possible_pct_of_polyhomographic)}",
         "over all word types:",
-        f"  guaranteed:        {fmt_pct(report.guaranteed_pct_all_types / 100)}",
-        f"  possible (cum.):   {fmt_pct(report.possible_pct_all_types / 100)}",
+        f"  guaranteed:        {fmt_pct(report.guaranteed_pct_all_types)}",
+        f"  possible (cum.):   {fmt_pct(report.possible_pct_all_types)}",
     ]
     if report.collision_histogram:
         lines.append("homograph collisions by tag:")

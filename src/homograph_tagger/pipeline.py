@@ -26,7 +26,8 @@ document, its source line number and a `LineRecord`. The record holds
 what the token's line says (surface, fine tag, lemma, gold id) and, once
 tagged, what the tagger made of it (coarse tag, status, homograph id,
 the word type's homograph count) and the rendered output line after the
-index. A rendered token is its index followed by that tail. The library
+index. A status is its output letter, the string "C", "U", "M" or "F",
+from the tagger to the scorer and the summary line. A rendered token is its index followed by that tail. The library
 and the CLI share this one token type, one line parse, one tagging rule
 and one renderer.
 
@@ -52,7 +53,6 @@ reported first, as when a document is read whole and then tagged.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
@@ -73,23 +73,6 @@ _MISSING = "-"
 _make = tuple.__new__
 
 
-class TokenStatus(enum.Enum):
-    """What the tagger did with a token (single-letter output codes)."""
-
-    CLOSED_CLASS = "C"
-    UNKNOWN_WORD = "U"
-    MATCHED = "M"
-    FALLBACK = "F"
-
-    # members are singletons compared by identity, so hash by identity too:
-    # a C slot, where Enum.__hash__ is a Python function run per token
-    __hash__ = object.__hash__
-
-
-_CLOSED = TokenStatus.CLOSED_CLASS
-_UNKNOWN = TokenStatus.UNKNOWN_WORD
-_MATCHED = TokenStatus.MATCHED
-_FALLBACK = TokenStatus.FALLBACK
 _record_of = itemgetter(2)
 _status_of = attrgetter("status")
 
@@ -99,11 +82,13 @@ class LineRecord(NamedTuple):
 
     gold_homograph_id is the optional hand-annotated homograph used by
     evaluation. The tagging fields are None (n_homographs 0) until the
-    line is tagged. n_homographs is the number of homographs of the
-    word type for a known open-class token (status M or F), and 0
-    otherwise, so only those can be polyhomographic. coarse_tag is None
-    only for an untagged line or, once tagged, an unmapped fine tag in
-    lenient mode. tail is the output line after the index.
+    line is tagged. status is the output letter: "C" (closed class),
+    "U" (unknown word), "M" (matched) or "F" (fallback). n_homographs is
+    the number of homographs of the word type for a known open-class
+    token (status M or F), and 0 otherwise, so only those can be
+    polyhomographic. coarse_tag is None only for an untagged line or,
+    once tagged, an unmapped fine tag in lenient mode. tail is the
+    output line after the index.
     """
 
     surface: str
@@ -111,18 +96,10 @@ class LineRecord(NamedTuple):
     lemma: str | None = None
     gold_homograph_id: int | None = None
     coarse_tag: str | None = None
-    status: TokenStatus | None = None
+    status: str | None = None
     homograph_id: int | None = None
     n_homographs: int = 0
     tail: str | None = None
-
-    @property
-    def open_class(self) -> bool:
-        return self.status is not _CLOSED
-
-    @property
-    def polyhomographic(self) -> bool:
-        return self.n_homographs >= 2
 
 
 # one corpus token: its index in its document, its source line number
@@ -358,19 +335,18 @@ def _tagging_rule(
         if coarse not in open_class or fine in proper:
             if coarse is None and strict and fine not in proper:
                 return None
-            status = _CLOSED
+            status = "C"
         else:
             entry = find(normalize_key(lemma or surface))
             if entry is None:
-                status = _UNKNOWN
+                status = "U"
             else:
                 n_homographs = len(entry.homographs)
                 hit = entry.by_tag.get(coarse)
-                status, homograph_id = (_FALLBACK, 1) if hit is None else (_MATCHED, hit[0])
-        # status._value_ is the plain attribute behind the slower .value property
+                status, homograph_id = ("F", 1) if hit is None else ("M", hit[0])
         tail = (
             f"\t{surface}\t{_MISSING if coarse is None else coarse}"
-            f"\t{status._value_}\t{_MISSING if homograph_id is None else homograph_id}\n"
+            f"\t{status}\t{_MISSING if homograph_id is None else homograph_id}\n"
         ) if render else None
         return _make(
             LineRecord, (surface, fine, lemma, gold, coarse, status, homograph_id, n_homographs, tail)
@@ -393,6 +369,6 @@ def render_tokens(results: Iterable[Token]) -> str:
     return "".join([f"{index}{record.tail}" for index, _, record in results])
 
 
-def status_counts(results: Iterable[Token]) -> Counter[TokenStatus]:
-    """Tally of tagged tokens' statuses, for run summaries."""
+def status_counts(results: Iterable[Token]) -> Counter[str]:
+    """Tally of tagged tokens' status letters, for run summaries."""
     return Counter(map(_status_of, map(_record_of, results)))

@@ -1,10 +1,11 @@
-"""Shared percentage arithmetic and rendering helpers, and the one line reader.
+"""Shared helpers: the one percentage rounding, the collector pause and the line reader.
 
-All percentages in reports are rounded to one decimal place with
-half-up rounding, which is what decimal.ROUND_HALF_UP gives and what
-round() does not.
+All percentages in reports are rounded once, by `pct_of`, to one
+decimal place with half-up rounding, which is what
+decimal.ROUND_HALF_UP gives and what round() does not.
 """
 
+import gc
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -15,18 +16,37 @@ from .errors import TaggerDataError
 _TENTH = Decimal("0.1")
 
 
-def pct_of(numerator: int, denominator: int) -> float:
-    """Percentage numerator/denominator, one decimal place, half-up."""
+def pct_of(numerator: int, denominator: int) -> float | None:
+    """Percentage numerator/denominator, one decimal place, half-up.
+
+    None when the denominator is 0: the percentage is undefined.
+    """
+    if not denominator:
+        return None
     value = Decimal(100 * numerator) / Decimal(denominator)
     return float(value.quantize(_TENTH, rounding=ROUND_HALF_UP))
 
 
-def fmt_pct(fraction: float | None) -> str:
-    """Render a 0..1 fraction as a percentage string, 'n/a' when undefined."""
-    if fraction is None:
-        return "n/a"
-    value = Decimal(str(fraction)) * 100
-    return f"{value.quantize(_TENTH, rounding=ROUND_HALF_UP)}%"
+def fmt_pct(pct: float | None) -> str:
+    """Render a percentage from `pct_of` as text, 'n/a' when undefined."""
+    return "n/a" if pct is None else f"{pct}%"
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the block, then put it back as it was.
+
+    Work that makes no reference cycles, such as loading a lexicon or
+    running a command, loses nothing by this: reference counting frees
+    all that it drops, and a collection would only rescan what it holds.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @contextmanager

@@ -31,7 +31,6 @@ from homograph_tagger import (
     tag_document,
 )
 from homograph_tagger.cli import main
-from homograph_tagger.pipeline import TokenStatus
 from support import make_entry, make_lexicon, tok
 
 OPEN = ("n", "v", "adj", "adv")
@@ -67,7 +66,7 @@ def test_a1_classifier_agrees_with_the_brute_force_oracle():
     for groups in itertools.chain(exhaustive, randomized):
         entry = make_entry("w", *[tuple(sorted(g)) for g in groups])
         expected = oracles.classify_by_definitions([frozenset(g) for g in groups])
-        assert classify_word_type(entry).value == expected, groups
+        assert classify_word_type(entry) == expected, groups
         checked += 1
     elapsed = time.monotonic() - started
     assert checked == 11_000
@@ -82,7 +81,7 @@ def test_a2_canonical_patterns_classify_exactly():
         (("v",), ("v",), ("n",), ("n",)): "no-disambiguation",
     }
     for groups, expected in cases.items():
-        assert classify_word_type(make_entry("w", *groups)).value == expected
+        assert classify_word_type(make_entry("w", *groups)) == expected
     print("[PASS] the three canonical homograph patterns classify exactly")
 
 
@@ -126,7 +125,7 @@ def test_a5_assignments_are_pos_consistent_on_random_tokens(news_lexicon, penn):
     words = sorted(entry.key for entry in news_lexicon)
     fines = sorted(penn.entries)
     n_tokens = 10_000
-    seen = {status: 0 for status in TokenStatus}
+    seen = dict.fromkeys("CUMF", 0)
     for i in range(n_tokens):
         word = rnd.choice(words)
         surface = rnd.choice([word, word.capitalize(), word.upper(), "zzq" + word])
@@ -137,18 +136,19 @@ def test_a5_assignments_are_pos_consistent_on_random_tokens(news_lexicon, penn):
         seen[result.status] += 1
         coarse = penn.entries[fields.fine_tag]
         entry = lookup(news_lexicon, fields.lemma or fields.surface)
-        if result.status is TokenStatus.CLOSED_CLASS:
+        if result.status == "C":
             assert coarse not in penn.open_class
-        elif result.status is TokenStatus.UNKNOWN_WORD:
+        elif result.status == "U":
             assert coarse in penn.open_class and entry is None
-        elif result.status is TokenStatus.MATCHED:
+        elif result.status == "M":
             chosen = entry.homographs[result.homograph_id - 1]
             assert coarse in chosen.pos
             assert all(coarse not in h.pos for h in entry.homographs[: result.homograph_id - 1])
         else:
+            assert result.status == "F"
             assert result.homograph_id == 1
             assert all(coarse not in h.pos for h in entry.homographs)
-    assert all(seen[status] > 0 for status in TokenStatus), seen
+    assert all(seen[status] > 0 for status in "CUMF"), seen
     print(f"[PASS] homograph choices are POS-consistent on {n_tokens} random tokens")
 
 
@@ -157,7 +157,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
     docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     results = [r for d in docs for r in tag_document(news_lexicon, penn, d)]
     self_gold = [
-        r.homograph_id if r.open_class and r.homograph_id is not None else None
+        r.homograph_id if r.status in ("M", "F") else None
         for _, _, r in results
     ]
     self_report = evaluate(news_lexicon, results, self_gold)

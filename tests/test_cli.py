@@ -600,22 +600,29 @@ def _fixture_args(fixtures_dir, tmp_path, args):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize(
-    "args, exit_code",
+    "args, exit_code, interrupted",
     [
-        (["tag", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "news_corpus.tsv"], 0),
-        (["tag", "--lexicon", "bad.jsonl", "--corpus", "news_corpus.tsv"], 1),
-        (["tag", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "missing.tsv"], 2),
-        (["tag", "--lexicon", "pipeline_lexicon.jsonl"], 2),
-        (["eval", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "news_corpus.tsv"], 0),
-        (["analyze", "--lexicon", "pipeline_lexicon.jsonl"], 0),
-        (["validate", "--lexicon", "pipeline_lexicon.jsonl"], 0),
+        (["tag", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "news_corpus.tsv"], 0, False),
+        (["tag", "--lexicon", "bad.jsonl", "--corpus", "news_corpus.tsv"], 1, False),
+        (["tag", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "missing.tsv"], 2, False),
+        (["tag", "--lexicon", "pipeline_lexicon.jsonl"], 2, False),
+        (["tag", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "news_corpus.tsv"], 1, True),
+        (["eval", "--lexicon", "pipeline_lexicon.jsonl", "--corpus", "news_corpus.tsv"], 0, False),
+        (["analyze", "--lexicon", "pipeline_lexicon.jsonl"], 0, False),
+        (["validate", "--lexicon", "pipeline_lexicon.jsonl"], 0, False),
     ],
-    ids=["ok", "data-error", "io-error", "usage-error", "eval", "analyze", "validate"],
+    ids=["ok", "data-error", "io-error", "usage-error", "interrupted", "eval", "analyze", "validate"],
 )
 def test_a_run_leaves_the_garbage_collector_as_it_was(
-    runner, fixtures_dir, tmp_path, enabled, args, exit_code
+    runner, fixtures_dir, tmp_path, monkeypatch, enabled, args, exit_code, interrupted
 ):
     args = _fixture_args(fixtures_dir, tmp_path, args)
+    if interrupted:
+        def interrupt(results):
+            raise KeyboardInterrupt
+
+        # click turns the interrupt into "Aborted!" and exit 1
+        monkeypatch.setattr("homograph_tagger.cli.render_tokens", interrupt)
     was_enabled = gc.isenabled()
     # start with nothing frozen (Python 3.12 starts with some), so that anything the run froze shows
     gc.unfreeze()
