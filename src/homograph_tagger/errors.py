@@ -24,11 +24,16 @@ class TagMapError(TaggerDataError):
 class UnmappedTagError(TagMapError):
     """A fine tag with no entry in the mapping (strict mode only)."""
 
-    def __init__(self, tag: str, line: int | None = None):
+    def __init__(self, tag: str, line: int | None = None, path: str | None = None):
         self.tag = tag
         self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"unmapped fine tag {tag!r}{where}")
+        self.path = path
+        if path is not None:
+            # the shape of every other corpus error: PATH:LINE: message
+            super().__init__(f"{path}:{line}: unmapped fine tag {tag!r}")
+        else:
+            where = f" (line {line})" if line is not None else ""
+            super().__init__(f"unmapped fine tag {tag!r}{where}")
 
 
 class CorpusError(TaggerDataError):

@@ -151,10 +151,11 @@ def tag_corpus(
     The result is what tagging each document of `read_corpus(path)` with
     `tag_document` gives, but each distinct line is checked and tagged
     once per run (see the module docstring). In strict mode the first
-    unmapped fine tag of a document is raised, with its line, once the
-    document has been read. With render false every record's tail is
-    None: a caller that never renders, such as a scorer, so skips making
-    and keeping an output line for every distinct corpus line.
+    unmapped fine tag of a document is raised, as `PATH:LINE: unmapped
+    fine tag 'XYZ'`, once the document has been read. With render false
+    every record's tail is None: a caller that never renders, such as a
+    scorer, so skips making and keeping an output line for every
+    distinct corpus line.
     """
     return _read(path, _tagging_rule(lexicon, mapping, strict, skip_proper, render))
 
@@ -169,9 +170,9 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
     ordinal = 0
     current_id: str | None = None
     tokens: list[Token] = []
-    # the unmapped tag and its line, not the error: this frame is in the
-    # error's traceback, so an error kept here would make a reference cycle
-    unmapped: tuple[str, int] | None = None
+    # the unmapped tag, its line and the path, not the error: this frame is
+    # in the error's traceback, so an error kept here would make a reference cycle
+    unmapped: tuple[str, int, str] | None = None
     with numbered_lines(path, CorpusError) as lines:
         for lineno, raw in lines:
             record = known(raw)
@@ -211,7 +212,7 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                 record = record_of(surface, fine, lemma, gold)
                 if record is None:
                     # kept as a token, so that the document ends where it would
-                    unmapped = unmapped or (fine, lineno)
+                    unmapped = unmapped or (fine, lineno, source)
                     record = _untagged(surface, fine, lemma, gold)
                 else:
                     if len(table) >= limit:
@@ -227,7 +228,7 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
         raise CorpusError(f"{source}: empty corpus (no documents)")
 
 
-def _ended(doc_id: str, tokens: list[Token], unmapped: tuple[str, int] | None) -> Document:
+def _ended(doc_id: str, tokens: list[Token], unmapped: tuple[str, int, str] | None) -> Document:
     """The document that has just been read, unless a fine tag in it was unmapped."""
     if unmapped is not None:
         raise UnmappedTagError(*unmapped)

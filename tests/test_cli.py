@@ -252,14 +252,15 @@ def test_tag_skip_proper_reclassifies_proper_nouns(runner, fixtures_dir, tmp_pat
 def test_tag_unmapped_tag_fails_with_tag_and_line(runner, fixtures_dir, tmp_path):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("ok\tNN\nodd\tBES\n", encoding="utf-8")
-    result = invoke(
-        runner, "tag",
-        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
-        "--corpus", corpus,
-    )
-    assert result.exit_code == 1
-    assert "'BES'" in result.stderr
-    assert "line 2" in result.stderr
+    for command in ("tag", "eval"):
+        result = invoke(
+            runner, command,
+            "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+            "--corpus", corpus,
+        )
+        assert result.exit_code == 1
+        # the shape of every other corpus error: PATH:LINE: message
+        assert result.stderr == f"error: {corpus}:2: unmapped fine tag 'BES'\n"
 
 
 @pytest.mark.parametrize(
@@ -267,8 +268,8 @@ def test_tag_unmapped_tag_fails_with_tag_and_line(runner, fixtures_dir, tmp_path
     [
         # a document is read whole before its first unmapped tag is reported
         ("odd\tBES\nbad\n", "{corpus}:2: expected 2 to 4 tab-separated fields, got 1"),
-        ("odd\tBES\n\nbad\n", "unmapped fine tag 'BES' (line 1)"),
-        ("ok\tNN\nodd\tBES\nodd\tBES\n", "unmapped fine tag 'BES' (line 2)"),
+        ("odd\tBES\n\nbad\n", "{corpus}:1: unmapped fine tag 'BES'"),
+        ("ok\tNN\nodd\tBES\nodd\tBES\n", "{corpus}:2: unmapped fine tag 'BES'"),
         # a line that failed is never remembered: each error names its first occurrence
         ("ok\tNN\nbad\nok\tNN\nbad\n", "{corpus}:2: expected 2 to 4 tab-separated fields, got 1"),
         ("ok\tNN\n\nok\tNN\t\t0\nok\tNN\t\t0\n", "{corpus}:3: gold homograph id must be >= 1"),

@@ -114,6 +114,14 @@ def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path):
     assert lookup(lex, "missing") is None
 
 
+# three homographs with the tag lists ["n"], ["n"] and ["v"]: by_tag {"n": (1, 2), "v": (3, 1)}
+FILLER = {"word": "filler", "homographs": [
+    {"pos": ["n"], "senses": [{"def": "d"}]},
+    {"pos": ["n"], "senses": [{"def": "d"}]},
+    {"pos": ["v"], "senses": [{"def": "d"}]},
+]}
+
+
 @pytest.mark.parametrize(
     "record, message",
     [
@@ -135,8 +143,85 @@ def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path):
 def test_load_lexicon_rejects_malformed_records(tmp_path, record, message):
     path = tmp_path / "lex.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=message):
+    with pytest.raises(LexiconError, match=message) as alone:
         load_lexicon(path)
+    # the same record after a valid one that has already checked and built
+    # the tag list ["n"], its homographs and the tag table pairs (1, 2) and (3, 1)
+    write_jsonl(path, [FILLER, record])
+    with pytest.raises(LexiconError) as after_filler:
+        load_lexicon(path)
+    assert str(after_filler.value) == str(alone.value).replace("lex.jsonl:1:", "lex.jsonl:2:")
+
+
+@pytest.mark.parametrize("pos", [[1, 2], [["n"]], [3, 1], ["n", ["v"]]])
+def test_a_tag_list_equal_to_a_built_pair_is_still_checked(tmp_path, pos):
+    # [1, 2] equals the by_tag pair (1, 2), but tag lists and pairs are kept apart
+    path = tmp_path / "lex.jsonl"
+    write_jsonl(path, [FILLER, {"word": "w", "homographs": [{"pos": pos, "senses": [{"def": "d"}]}]}])
+    with pytest.raises(LexiconError, match=r"lex\.jsonl:2: 'w': homograph 1: pos tags must be strings$"):
+        load_lexicon(path)
+
+
+def test_entries_with_equal_homographs_share_them_and_their_tag_table(tmp_path):
+    path = tmp_path / "lex.jsonl"
+    senses = [{"def": "a"}, {"def": "b"}]
+    write_jsonl(path, [
+        {"word": "bank", "homographs": [{"pos": ["n"], "senses": senses}, {"pos": ["v"], "senses": senses[:1]}]},
+        {"word": "fish", "homographs": [{"pos": ["n"], "senses": senses}, {"pos": ["v"], "senses": senses[1:]}]},
+        {"word": "sofa", "homographs": [{"pos": ["n"], "senses": senses}]},
+        {"word": "row", "homographs": [{"pos": ["v"], "senses": senses[:1]}, {"pos": ["n"], "senses": senses}]},
+        {"word": "mole", "homographs": [{"pos": ["n"], "senses": senses[1:]}]},
+    ])
+    bank, fish, sofa, row, mole = load_lexicon(path)
+    assert bank.homographs is fish.homographs
+    assert bank.by_tag is fish.by_tag
+    assert bank.by_tag == {"n": (1, 1), "v": (2, 1)}
+    assert row.by_tag == {"v": (1, 1), "n": (2, 1)}
+    # one object per distinct (pos, n_senses), one tag list per distinct list of tags
+    homographs = [h for entry in (bank, sofa, row, mole) for h in entry.homographs]
+    assert len({id(h) for h in homographs}) == len(set(homographs)) == 3
+    assert len({id(h.pos) for h in homographs}) == 2
+    assert sofa.homographs[0] is bank.homographs[0] is row.homographs[1]
+    assert mole.homographs[0] is not sofa.homographs[0]
+    # one object per distinct (first, count) pair across the tag tables
+    assert bank.by_tag["n"] is sofa.by_tag["n"] is mole.by_tag["n"] is row.by_tag["v"]
+    # a hand-made entry equals a loaded one and derives an equal table of its own
+    made = make_entry("bank", ("n",), ("v",), senses=[2, 1])
+    assert made == bank and hash(made) == hash(bank)
+    assert made.by_tag == bank.by_tag and made.by_tag is not bank.by_tag
+
+
+def test_a_load_tracks_about_one_object_per_word_type(tmp_path):
+    # 3,000 word types over 12 distinct homograph sequences: a load that made
+    # each entry's homographs, tags and tag table anew would track about nine objects per type
+    path = tmp_path / "lex.jsonl"
+    sequences = [
+        [{"pos": pos, "senses": [{"def": "d"}] * n_senses} for pos, n_senses in homographs]
+        for homographs in (
+            [(["n"], 1)], [(["v"], 2)], [(["n", "v"], 1)], [(["adj"], 3)],
+            [(["n"], 2), (["v"], 1)], [(["n"], 1), (["n"], 1)], [(["v"], 1), (["n", "adj"], 2)],
+            [(["n"], 1), (["v"], 1), (["adj"], 1)], [(["adv"], 1), (["n"], 2), (["n"], 1)],
+            [(["n", "v"], 2), (["v"], 1), (["n"], 3), (["adj"], 1)],
+            [(["v"], 3), (["v"], 2)], [(["adj", "adv"], 1), (["adv", "adj"], 1)],
+        )
+    ]
+    n_types = 3000
+    write_jsonl(path, [
+        {"word": f"w{i}", "homographs": sequences[i % len(sequences)]} for i in range(n_types)
+    ])
+    default_vocabulary()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        lexicon = load_lexicon(path)
+        added = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(lexicon) == n_types
+    # the entries, plus a few hundred for the distinct values and the lexicon itself
+    assert added <= n_types + 300, added
 
 
 def test_load_lexicon_reports_the_offending_line(tmp_path):

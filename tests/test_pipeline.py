@@ -196,6 +196,8 @@ def test_unmapped_tag_strict_and_lenient(lex, penn):
         disambiguate_token(lex, penn, tok("bank", "XYZ", line=41))
     assert exc_info.value.tag == "XYZ"
     assert exc_info.value.line == 41
+    # no file is read, so the message names the line alone
+    assert str(exc_info.value) == "unmapped fine tag 'XYZ' (line 41)"
     lenient = disambiguate_token(lex, penn, tok("bank", "XYZ"), strict=False)
     assert lenient.status == "C"
     assert lenient.coarse_tag is None
@@ -264,6 +266,15 @@ def test_tag_corpus_is_read_corpus_then_tag_document(fixtures_dir, news_lexicon,
     # a table that holds one line forgets each line as the next comes in
     monkeypatch.setattr("homograph_tagger.pipeline.LINE_TABLE_SIZE", 1)
     assert [(d.doc_id, d.tokens) for d in tag_corpus(news_lexicon, penn, path)] == two_steps
+
+
+def test_tag_corpus_names_the_file_and_line_of_an_unmapped_tag(tmp_path, lex, penn):
+    path = tmp_path / "c.tsv"
+    path.write_text("bank\tNN\nbank\tXYZ\n", encoding="utf-8")
+    with pytest.raises(UnmappedTagError) as exc_info:
+        list(tag_corpus(lex, penn, path))
+    assert (exc_info.value.tag, exc_info.value.line, exc_info.value.path) == ("XYZ", 2, str(path))
+    assert str(exc_info.value) == f"{path}:2: unmapped fine tag 'XYZ'"
 
 
 def test_tagging_agrees_with_the_hand_assignment_rule(fixtures_dir, news_lexicon, penn):

@@ -14,6 +14,7 @@ from homograph_tagger import (
     Document,
     EvalReport,
     TagMapping,
+    WordTypeEntry,
     analyze_lexicon,
     classify_word_type,
     default_tagmap,
@@ -128,6 +129,45 @@ def test_records_load_back_to_their_entries(tmp_path, entries):
     lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in as_records(entries)]
     path.write_text("".join(lines), encoding="utf-8")
     assert load_lexicon(path) == make_lexicon(*entries)
+
+
+tag_list = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3, unique=True)
+homograph_sequence = st.lists(st.tuples(tag_list, st.integers(1, 3)), min_size=1, max_size=5)
+
+
+@st.composite
+def repetitive_lexicon_records(draw):
+    """Lexicon records whose homograph sequences come from a small pool, so equal ones repeat."""
+    pool = draw(st.lists(homograph_sequence, min_size=1, max_size=4))
+    words = draw(st.lists(entry_words, min_size=1, max_size=15, unique=True))
+    return [
+        {
+            "word": word,
+            "homographs": [
+                {"pos": pos, "senses": [{"def": f"{word} {i}"} for i in range(n_senses)]}
+                for pos, n_senses in draw(st.sampled_from(pool))
+            ],
+        }
+        for word in words
+    ]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(repetitive_lexicon_records())
+def test_loaded_entries_equal_the_entries_made_from_their_parts(tmp_path, records):
+    path = tmp_path / "entries.jsonl"
+    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
+    path.write_text("".join(lines), encoding="utf-8")
+    lexicon = load_lexicon(path)
+    assert [entry.key for entry in lexicon] == [record["word"] for record in records]
+    for entry in lexicon:
+        made = WordTypeEntry(entry.key, entry.homographs)
+        assert entry == made
+        assert list(entry.by_tag.items()) == list(made.by_tag.items())
+    first_with = {}
+    for entry in lexicon:
+        first = first_with.setdefault(entry.homographs, entry)
+        assert entry.homographs is first.homographs and entry.by_tag is first.by_tag
 
 
 # ---------------------------------------------------------------------------
