@@ -28,7 +28,6 @@ from .lexicon import (
     default_vocabulary,
     load_lexicon,
     load_vocabulary,
-    lookup,
     normalize_key,
     render_taxonomy,
 )
@@ -37,7 +36,6 @@ from .pipeline import (
     Document,
     LineRecord,
     Token,
-    disambiguate_token,
     read_corpus,
     render_output,
     render_tokens,

@@ -1,4 +1,4 @@
-"""Homograph lexicon: data model, JSON Lines loading, lookup, and the
+"""Homograph lexicon: data model, JSON Lines loading and the
 static analysis that bounds how far part-of-speech information alone
 can take homograph disambiguation.
 
@@ -199,11 +199,6 @@ class Lexicon:
         return iter(self.entries)
 
 
-def lookup(lexicon: Lexicon, surface: str) -> WordTypeEntry | None:
-    """Find the entry for a surface form or headword, or None."""
-    return lexicon._index.get(normalize_key(surface))
-
-
 # ---------------------------------------------------------------------------
 # loading
 
@@ -214,7 +209,8 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     Records are validated against the coarse vocabulary (the shipped
     17-tag default when none is given). Duplicate word keys, unknown
     tags, and empty homograph or sense lists are rejected with the
-    offending line number in the message.
+    offending line number in the message, and a file with no word types
+    as `PATH: lexicon is empty (no word types)`.
 
     Each distinct homograph, homograph sequence and tag table is built
     once per call and shared by every entry that has it, so entries with
@@ -263,6 +259,8 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
                     )
                 first_line[entry.key] = lineno
                 entries.append(entry)
+        if not entries:
+            raise LexiconError(f"{source}: lexicon is empty (no word types)")
         return Lexicon(vocabulary=vocab, entries=tuple(entries))
 
 
@@ -423,6 +421,7 @@ class TaxonomyReport:
 
 def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
     """Aggregate the four-way classification over a whole lexicon."""
+    # load_lexicon rejects an empty file; a Lexicon made by hand may still be empty
     if not lexicon.entries:
         raise LexiconError("cannot analyze an empty lexicon")
     by_category: Counter[str] = Counter()

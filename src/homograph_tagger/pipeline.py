@@ -27,17 +27,18 @@ what the token's line says (surface, fine tag, lemma, gold id) and, once
 tagged, what the tagger made of it (coarse tag, status, homograph id,
 the word type's homograph count) and the rendered output line after the
 index. A status is its output letter, the string "C", "U", "M" or "F",
-from the tagger to the scorer and the summary line. A rendered token is its index followed by that tail. The library
-and the CLI share this one token type, one line parse, one tagging rule
-and one renderer.
+from the tagger to the scorer and the summary line. A rendered token is
+its index followed by that tail.
 
-The corpus is streamed: `read_corpus` and `tag_corpus` yield one
-document at a time, so a caller that tags, renders and writes each
-document before reading the next holds one document in memory, not the
-corpus. Both read through one reader, which keeps a table local to the
-run from each distinct token line to its record: a line seen before
-costs one dict lookup and one token tuple, and is not split, checked,
-tagged or rendered again, and tokens on equal lines share one record.
+`tag_corpus` is the way to tag; every command takes it. It yields one
+tagged document at a time, so a caller that writes each document before
+reading the next holds one document in memory, not the corpus.
+`read_corpus`, `tag_document` and `render_output` remain as the layer
+calls of the benchmark's in-process child, which times reading, tagging
+and rendering apart. The one reader keeps a table local to the run from
+each distinct token line to its record: a line seen before costs one
+dict lookup and one token tuple, and is not split, checked, tagged or
+rendered again, and tokens on equal lines share one record.
 The table is emptied whenever it holds LINE_TABLE_SIZE lines, so its
 memory is capped by that module constant, not by the corpus size. A
 line that fails is never stored, so an error always names the line
@@ -46,9 +47,7 @@ where it occurs.
 Tagging a line is one lookup of its fine tag, one lowercased lookup of
 its word type and one lookup of the coarse tag in that word type's
 `by_tag` table (see `lexicon`), which holds the first homograph carrying
-each tag. In strict mode an unmapped fine tag is reported once its
-document has been read, so a malformed line later in that document is
-reported first, as when a document is read whole and then tagged.
+each tag.
 """
 
 from __future__ import annotations
@@ -148,13 +147,18 @@ def tag_corpus(
 ) -> Iterator[Document]:
     """Read and tag a corpus in one pass, yielding one tagged document at a time.
 
-    The result is what tagging each document of `read_corpus(path)` with
-    `tag_document` gives, but each distinct line is checked and tagged
-    once per run (see the module docstring). In strict mode the first
-    unmapped fine tag of a document is raised, as `PATH:LINE: unmapped
-    fine tag 'XYZ'`, once the document has been read. With render false
-    every record's tail is None: a caller that never renders, such as a
-    scorer, so skips making and keeping an output line for every
+    Each token gets a homograph from its POS tag alone. Closed-class
+    tokens and, with skip_proper, proper-noun tokens pass through
+    untagged; words missing from the lexicon are flagged unknown;
+    otherwise the first homograph whose tags hold the coarse tag is
+    chosen, falling back to homograph 1 when none does. In strict mode
+    the first unmapped fine tag of a document is raised, as `PATH:LINE:
+    unmapped fine tag 'XYZ'`, once the document has been read, so a
+    malformed line later in it is raised first; in lenient mode an
+    unmapped fine tag makes its token closed class. Each distinct line is
+    checked and tagged once per run (see the module docstring). With
+    render false every record's tail is None: a caller that never
+    renders, such as a scorer, so skips making an output line for every
     distinct corpus line.
     """
     return _read(path, _tagging_rule(lexicon, mapping, strict, skip_proper, render))
@@ -267,49 +271,18 @@ def _gold_id(field: str, source: str, lineno: int) -> int:
 # homograph assignment
 
 
-def disambiguate_token(
-    lexicon: Lexicon,
-    mapping: TagMapping,
-    token: Token,
-    *,
-    strict: bool = True,
-    skip_proper: bool = False,
-) -> LineRecord:
-    """Assign a homograph to one token from its POS tag alone; return its tagged record.
+def tag_document(lexicon: Lexicon, mapping: TagMapping, document: Document) -> list[Token]:
+    """Tag every token of a document, in order, in strict mode.
 
-    Closed-class tokens and, with skip_proper, proper-noun tokens pass
-    through untagged; words missing from the lexicon are flagged
-    unknown; otherwise the first homograph whose pos set contains the
-    coarse tag is chosen, falling back to homograph 1 when none
-    matches. In strict mode an unmapped fine tag raises
-    UnmappedTagError; in lenient mode it makes the token closed class.
+    Each result is the token with its record tagged by the rule that
+    `tag_corpus` applies. The first unmapped fine tag raises, as
+    `unmapped fine tag 'XYZ' (line N)`, since no file is named.
     """
-    tag = _tagging_rule(lexicon, mapping, strict, skip_proper, render=True)
-    return _tag_tokens(tag, (token,))[0][2]
-
-
-def tag_document(
-    lexicon: Lexicon,
-    mapping: TagMapping,
-    document: Document,
-    *,
-    strict: bool = True,
-    skip_proper: bool = False,
-) -> list[Token]:
-    """Disambiguate every token of a document, in order (see disambiguate_token).
-
-    Each result is the token with its record tagged. In strict mode the
-    first token-level error aborts the document.
-    """
-    tag = _tagging_rule(lexicon, mapping, strict, skip_proper, render=True)
-    return _tag_tokens(tag, document.tokens)
-
-
-def _tag_tokens(tag: _RecordOf, tokens: Iterable[Token]) -> list[Token]:
+    tag = _tagging_rule(lexicon, mapping, strict=True, skip_proper=False, render=True)
     # tokens on equal lines share one record, so each record is tagged once
     tagged_of: dict[LineRecord, LineRecord] = {}
     results = []
-    for index, line, record in tokens:
+    for index, line, record in document.tokens:
         tagged = tagged_of.get(record)
         if tagged is None:
             tagged = tag(*record[:4])

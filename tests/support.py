@@ -6,6 +6,7 @@ from homograph_tagger import (
     LineRecord,
     WordTypeEntry,
     default_vocabulary,
+    tag_corpus,
 )
 
 
@@ -31,3 +32,20 @@ def make_lexicon(*entries, vocabulary=None):
 
 def tok(surface, fine, lemma=None, gold=None, index=0, line=None):
     return index, line, LineRecord(surface, fine, lemma, gold)
+
+
+def write_corpus(directory, text, name="corpus.tsv"):
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def tag_lines(directory, lexicon, mapping, *lines, **options):
+    """The tagged records of a one-document corpus, one line per tuple of fields, in order.
+
+    The corpus is written into directory and run through tag_corpus with
+    options (strict, skip_proper, render), the path every command takes.
+    """
+    text = "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
+    documents = tag_corpus(lexicon, mapping, write_corpus(directory, text), **options)
+    return [record for document in documents for _, _, record in document.tokens]

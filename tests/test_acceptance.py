@@ -22,16 +22,14 @@ from homograph_tagger import (
     analyze_lexicon,
     classify_word_type,
     default_vocabulary,
-    disambiguate_token,
     evaluate,
     load_lexicon,
-    lookup,
     read_corpus,
     render_report,
     tag_document,
 )
 from homograph_tagger.cli import main
-from support import make_entry, make_lexicon, tok
+from support import make_entry, make_lexicon, tag_lines, tok
 
 OPEN = ("n", "v", "adj", "adv")
 
@@ -120,22 +118,26 @@ def test_a4_golden_tagging_run_is_byte_identical_and_fast(fixtures_dir, tmp_path
     print(f"[PASS] tagging the fixture corpus is byte-identical twice ({elapsed:.2f}s)")
 
 
-def test_a5_assignments_are_pos_consistent_on_random_tokens(news_lexicon, penn):
+def test_a5_assignments_are_pos_consistent_on_random_tokens(tmp_path, news_lexicon, penn):
     rnd = random.Random(97)
-    words = sorted(entry.key for entry in news_lexicon)
+    by_key = {entry.key: entry for entry in news_lexicon}
+    words = sorted(by_key)
     fines = sorted(penn.entries)
     n_tokens = 10_000
-    seen = dict.fromkeys("CUMF", 0)
-    for i in range(n_tokens):
+    tokens = []
+    for _ in range(n_tokens):
         word = rnd.choice(words)
         surface = rnd.choice([word, word.capitalize(), word.upper(), "zzq" + word])
         lemma = word if surface.startswith("zzq") and rnd.random() < 0.5 else None
-        token = tok(surface, rnd.choice(fines), lemma=lemma, index=i)
-        _, _, fields = token
-        result = disambiguate_token(news_lexicon, penn, token)
+        tokens.append((surface, rnd.choice(fines), lemma))
+    lines = [fields if fields[2] else fields[:2] for fields in tokens]
+    results = tag_lines(tmp_path, news_lexicon, penn, *lines)
+    assert [(r.surface, r.fine_tag, r.lemma) for r in results] == tokens
+    seen = dict.fromkeys("CUMF", 0)
+    for result in results:
         seen[result.status] += 1
-        coarse = penn.entries[fields.fine_tag]
-        entry = lookup(news_lexicon, fields.lemma or fields.surface)
+        coarse = penn.entries[result.fine_tag]
+        entry = by_key.get((result.lemma or result.surface).lower())
         if result.status == "C":
             assert coarse not in penn.open_class
         elif result.status == "U":

@@ -196,12 +196,18 @@ def test_analyze_does_not_load_the_tag_map(runner, tmp_path):
     assert "guaranteed:        1" in result.stdout
 
 
-def test_analyze_empty_lexicon_fails(runner, tmp_path):
+@pytest.mark.parametrize("command", ["validate", "analyze", "tag", "eval"])
+def test_analyze_empty_lexicon_fails(runner, fixtures_dir, tmp_path, command):
+    # the loader rejects a lexicon with no word types, so no command gets to use one
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
-    result = invoke(runner, "analyze", "--lexicon", empty)
+    args = [command, "--lexicon", empty]
+    if command in ("tag", "eval"):
+        args += ["--corpus", fx(fixtures_dir, "news_corpus.tsv")]
+    result = invoke(runner, *args)
     assert result.exit_code == 1
-    assert "empty" in result.stderr
+    assert result.stderr == f"error: {empty}: lexicon is empty (no word types)\n"
+    assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +242,25 @@ def test_tag_defaults_to_stdout(runner, fixtures_dir):
     assert result.stdout.count("\n") == 14  # header + 13 tokens
 
 
-def test_tag_skip_proper_reclassifies_proper_nouns(runner, fixtures_dir, tmp_path):
+# each command's file option: tag writes its output there, eval its report
+_OUT = {"tag": "--out", "eval": "--report"}
+
+
+@pytest.mark.parametrize("command", ["tag", "eval"])
+def test_tag_skip_proper_reclassifies_proper_nouns(runner, fixtures_dir, tmp_path, command):
+    # the fixture corpus carries gold ids, so eval scores it too
     result = invoke(
-        runner, "tag",
+        runner, command,
         "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
         "--corpus", fx(fixtures_dir, "news_corpus.tsv"),
-        "--out", tmp_path / "out.tsv",
+        _OUT[command], tmp_path / "out.txt",
         "--skip-proper",
     )
     assert result.exit_code == 0
     # the six NNP tokens move from unknown to closed-class
-    assert "107 matched, 3 fallback, 1 unknown, 98 closed-class" in result.stderr
+    assert result.stderr == (
+        "tagged 209 tokens in 5 documents: 107 matched, 3 fallback, 1 unknown, 98 closed-class\n"
+    )
 
 
 def test_tag_unmapped_tag_fails_with_tag_and_line(runner, fixtures_dir, tmp_path):
@@ -289,17 +303,21 @@ def test_tag_reports_the_first_error_in_reading_order(runner, fixtures_dir, tmp_
     assert result.stderr == f"error: {message.format(corpus=corpus)}\n"
 
 
-def test_tag_lenient_passes_unmapped_tags_through(runner, fixtures_dir, tmp_path):
+@pytest.mark.parametrize("command", ["tag", "eval"])
+def test_tag_lenient_passes_unmapped_tags_through(runner, fixtures_dir, tmp_path, command):
     corpus = tmp_path / "c.tsv"
-    corpus.write_text("ok\tNN\nodd\tBES\n", encoding="utf-8")
+    corpus.write_text("bank\tNN\t\t1\nodd\tBES\n", encoding="utf-8")
     result = invoke(
-        runner, "tag",
+        runner, command,
         "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
         "--corpus", corpus,
+        _OUT[command], tmp_path / "out.txt",
         "--lenient",
     )
     assert result.exit_code == 0
-    assert "1 closed-class" in result.stderr
+    assert result.stderr == (
+        "tagged 2 tokens in 1 documents: 1 matched, 0 fallback, 0 unknown, 1 closed-class\n"
+    )
 
 
 def test_tag_empty_corpus_fails(runner, fixtures_dir, tmp_path):

@@ -16,11 +16,10 @@ from homograph_tagger import (
     default_vocabulary,
     load_lexicon,
     load_vocabulary,
-    lookup,
     render_taxonomy,
 )
 from homograph_tagger.util import pct_of
-from support import make_entry, make_lexicon
+from support import make_entry, make_lexicon, tag_lines
 
 
 def write_jsonl(path, records):
@@ -93,25 +92,26 @@ def test_load_lexicon_preserves_order_and_ids(tmp_path):
     ])
     lex = load_lexicon(path)
     assert len(lex) == 2
-    bank = lookup(lex, "bank")
+    by_key = {entry.key: entry for entry in lex}
+    bank = by_key["bank"]
     # ids are 1-based positions, so checking the order checks them
     assert len(bank.homographs) == 3
     assert [h.pos for h in bank.homographs] == [("n",), ("n",), ("v",)]
     assert tuple(h.n_senses for h in bank.homographs) == (2, 1, 1)
     assert bank.sense_count() == 4
-    assert len(lookup(lex, "sofa").homographs) == 1
+    assert len(by_key["sofa"].homographs) == 1
     # coarse tag -> (first homograph carrying it, number of homographs carrying it)
     assert bank.by_tag == {"n": (1, 2), "v": (3, 1)}
-    assert lookup(lex, "sofa").by_tag == {"n": (1, 1)}
+    assert by_key["sofa"].by_tag == {"n": (1, 1)}
 
 
-def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path):
+def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path, penn):
     path = tmp_path / "lex.jsonl"
     write_jsonl(path, [{"word": "Bank", "homographs": [{"pos": ["n"], "senses": [{"def": "x"}]}]}])
     lex = load_lexicon(path)
-    assert lookup(lex, "BANK").key == "bank"
-    assert lookup(lex, "bank") is lookup(lex, "Bank")
-    assert lookup(lex, "missing") is None
+    assert [entry.key for entry in lex] == ["bank"]
+    lines = [("BANK", "NN"), ("bank", "NN"), ("Bank", "NN"), ("missing", "NN")]
+    assert [r.status for r in tag_lines(tmp_path, lex, penn, *lines)] == ["M", "M", "M", "U"]
 
 
 # three homographs with the tag lists ["n"], ["n"] and ["v"]: by_tag {"n": (1, 2), "v": (3, 1)}
@@ -230,6 +230,15 @@ def test_load_lexicon_reports_the_offending_line(tmp_path):
     path.write_text(json.dumps(good) + "\n\n{broken\n", encoding="utf-8")
     with pytest.raises(LexiconError, match=r"lex\.jsonl:3.*invalid JSON"):
         load_lexicon(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "\ufeff"], ids=["empty", "blank-lines", "bom-only"])
+def test_load_lexicon_rejects_a_file_with_no_word_types(tmp_path, text):
+    path = tmp_path / "lex.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LexiconError) as exc_info:
+        load_lexicon(path)
+    assert str(exc_info.value) == f"{path}: lexicon is empty (no word types)"
 
 
 def test_load_lexicon_leaves_the_garbage_collector_as_it_was(tmp_path, fixtures_dir):

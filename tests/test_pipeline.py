@@ -5,20 +5,13 @@ from homograph_tagger import (
     CorpusError,
     Document,
     UnmappedTagError,
-    disambiguate_token,
     read_corpus,
     render_output,
     status_counts,
     tag_corpus,
     tag_document,
 )
-from support import make_entry, make_lexicon, tok
-
-
-def write_corpus(tmp_path, text, name="corpus.tsv"):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return path
+from support import make_entry, make_lexicon, tag_lines, tok, write_corpus
 
 
 @pytest.fixture()
@@ -134,83 +127,83 @@ def test_read_corpus_error_names_the_line(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# token disambiguation
+# the tagging rule, through tag_corpus
 
 
-def test_closed_class_token_passes_through(lex, penn):
-    result = disambiguate_token(lex, penn, tok("the", "DT"))
+def test_closed_class_token_passes_through(tmp_path, lex, penn):
+    (result,) = tag_lines(tmp_path, lex, penn, ("the", "DT"))
     assert result.status == "C"
     assert result.coarse_tag == "det"
     assert result.homograph_id is None
     assert result.n_homographs == 0
 
 
-def test_unknown_open_class_word(lex, penn):
-    result = disambiguate_token(lex, penn, tok("zorblat", "NN"))
+def test_unknown_open_class_word(tmp_path, lex, penn):
+    (result,) = tag_lines(tmp_path, lex, penn, ("zorblat", "NN"))
     assert result.status == "U"
     assert result.homograph_id is None
     assert result.n_homographs == 0
 
 
-def test_match_takes_the_first_homograph_with_the_tag(lex, penn):
-    noun = disambiguate_token(lex, penn, tok("bank", "NN"))
-    verb = disambiguate_token(lex, penn, tok("bank", "VBD"))
+def test_match_takes_the_first_homograph_with_the_tag(tmp_path, lex, penn):
+    noun, verb = tag_lines(tmp_path, lex, penn, ("bank", "NN"), ("bank", "VBD"))
     assert (noun.status, noun.homograph_id) == ("M", 1)
     assert (verb.status, verb.homograph_id) == ("M", 3)
     assert noun.n_homographs == verb.n_homographs == 3
 
 
-def test_fallback_is_always_homograph_one(lex, penn):
-    result = disambiguate_token(lex, penn, tok("gravel", "JJ"))
+def test_fallback_is_always_homograph_one(tmp_path, lex, penn):
+    result, poly = tag_lines(tmp_path, lex, penn, ("gravel", "JJ"), ("file", "JJ"))
     assert (result.status, result.homograph_id, result.n_homographs) == ("F", 1, 1)
-    poly = disambiguate_token(lex, penn, tok("file", "JJ"))
     assert (poly.status, poly.homograph_id, poly.n_homographs) == ("F", 1, 2)
 
 
-def test_lemma_overrides_surface_for_lookup(lex, penn):
-    result = disambiguate_token(lex, penn, tok("Banks", "NNS", lemma="bank"))
+def test_lemma_overrides_surface_for_lookup(tmp_path, lex, penn):
+    result, missing = tag_lines(
+        tmp_path, lex, penn, ("Banks", "NNS", "bank"), ("bank", "NN", "unknownlemma")
+    )
     assert (result.status, result.homograph_id) == ("M", 1)
-    missing = disambiguate_token(lex, penn, tok("bank", "NN", lemma="unknownlemma"))
     assert missing.status == "U"
 
 
-def test_lookup_is_case_insensitive_on_surface(lex, penn):
-    result = disambiguate_token(lex, penn, tok("Bank", "NN"))
+def test_lookup_is_case_insensitive_on_surface(tmp_path, lex, penn):
+    (result,) = tag_lines(tmp_path, lex, penn, ("Bank", "NN"))
     assert result.status == "M"
 
 
-def test_lookup_applies_no_unicode_normalization(penn):
+def test_lookup_applies_no_unicode_normalization(tmp_path, penn):
     # keys are lowercased only (see normalize_key): an NFD spelling of an
     # NFC headword is a different word type
     nfc, nfd = "caf\u00e9", "cafe\u0301"
     lexicon = make_lexicon(make_entry(nfc, ("n",)))
-    statuses = [
-        disambiguate_token(lexicon, penn, tok(surface, "NN")).status
-        for surface in (nfc, nfc.upper(), nfd, nfd.upper())
-    ]
-    assert statuses == ["M", "M", "U", "U"]
+    surfaces = (nfc, nfc.upper(), nfd, nfd.upper())
+    results = tag_lines(tmp_path, lexicon, penn, *[(surface, "NN") for surface in surfaces])
+    assert [result.status for result in results] == ["M", "M", "U", "U"]
 
 
-def test_unmapped_tag_strict_and_lenient(lex, penn):
+def test_unmapped_tag_strict_and_lenient(tmp_path, lex, penn):
+    # tag_document reads no file, so its message names the line alone
+    # (tag_corpus's message, with the path, is pinned below)
     with pytest.raises(UnmappedTagError) as exc_info:
-        disambiguate_token(lex, penn, tok("bank", "XYZ", line=41))
+        tag_document(lex, penn, Document("d", (tok("bank", "XYZ", line=41),)))
     assert exc_info.value.tag == "XYZ"
     assert exc_info.value.line == 41
-    # no file is read, so the message names the line alone
     assert str(exc_info.value) == "unmapped fine tag 'XYZ' (line 41)"
-    lenient = disambiguate_token(lex, penn, tok("bank", "XYZ"), strict=False)
+    (lenient,) = tag_lines(tmp_path, lex, penn, ("bank", "XYZ"), strict=False)
     assert lenient.status == "C"
     assert lenient.coarse_tag is None
 
 
-def test_skip_proper_short_circuits_known_proper_nouns(lex, penn):
-    plain = disambiguate_token(lex, penn, tok("Bank", "NNP"))
+def test_skip_proper_short_circuits_known_proper_nouns(tmp_path, lex, penn):
+    (plain,) = tag_lines(tmp_path, lex, penn, ("Bank", "NNP"))
     assert plain.status == "M"
-    skipped = disambiguate_token(lex, penn, tok("Bank", "NNP"), skip_proper=True)
+    skipped, noun = tag_lines(
+        tmp_path, lex, penn, ("Bank", "NNP"), ("Bank", "NN"), skip_proper=True
+    )
     assert skipped.status == "C"
     assert skipped.coarse_tag == "n"
     # non-proper tags are unaffected
-    assert disambiguate_token(lex, penn, tok("Bank", "NN"), skip_proper=True).status == "M"
+    assert noun.status == "M"
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +270,7 @@ def test_tag_corpus_names_the_file_and_line_of_an_unmapped_tag(tmp_path, lex, pe
     assert str(exc_info.value) == f"{path}:2: unmapped fine tag 'XYZ'"
 
 
-def test_tagging_agrees_with_the_hand_assignment_rule(fixtures_dir, news_lexicon, penn):
+def test_tagging_agrees_with_the_hand_assignment_rule(tmp_path, fixtures_dir, news_lexicon, penn):
     import json
 
     records = [
@@ -285,8 +278,8 @@ def test_tagging_agrees_with_the_hand_assignment_rule(fixtures_dir, news_lexicon
         for line in (fixtures_dir / "pipeline_lexicon.jsonl").read_text("utf-8").splitlines()
     ]
     by_word = {r["word"]: r for r in records}
-    for surface, fine in [("bank", "NN"), ("bank", "VB"), ("close", "RB"),
-                          ("daily", "JJ"), ("daily", "RB"), ("lead", "NN")]:
-        got = disambiguate_token(news_lexicon, penn, tok(surface, fine))
-        status, hid = oracles.assign_by_hand(by_word[surface], got.coarse_tag)
+    lines = [("bank", "NN"), ("bank", "VB"), ("close", "RB"),
+             ("daily", "JJ"), ("daily", "RB"), ("lead", "NN")]
+    for got in tag_lines(tmp_path, news_lexicon, penn, *lines):
+        status, hid = oracles.assign_by_hand(by_word[got.surface], got.coarse_tag)
         assert (got.status, got.homograph_id) == (status, hid)

@@ -19,17 +19,14 @@ from homograph_tagger import (
     classify_word_type,
     default_tagmap,
     default_vocabulary,
-    disambiguate_token,
     load_lexicon,
-    lookup,
-    render_output,
     render_report,
     render_taxonomy,
     tag_document,
 )
 from homograph_tagger.cli import main
 from homograph_tagger.util import pct_of
-from support import make_entry, make_lexicon, tok
+from support import make_entry, make_lexicon, tag_lines, tok
 
 VOCAB = default_vocabulary()
 OPEN = ("n", "v", "adj", "adv")
@@ -179,6 +176,13 @@ _identity_map = TagMapping(
 )
 
 
+def _tag_one(entry, tag):
+    """The tagged record of the token `w` tagged `tag.upper()`, over a lexicon of entry alone."""
+    document = Document("d", (tok("w", tag.upper()),))
+    ((_, _, record),) = tag_document(make_lexicon(entry), _identity_map, document)
+    return record
+
+
 @given(
     st.sampled_from(OPEN),
     st.lists(pos_group, min_size=0, max_size=5),
@@ -193,7 +197,7 @@ def test_the_unique_carrier_wins_regardless_of_its_neighbours(tag, other_groups,
     groups = others[:slot] + [frozenset({tag})] + others[slot:]
     entry = entry_from_groups("w", groups)
     target_id = slot + 1
-    result = disambiguate_token(make_lexicon(entry), _identity_map, tok("w", tag.upper()))
+    result = _tag_one(entry, tag)
     assert result.status == "M"
     assert result.homograph_id == target_id
     assert entry.homographs[target_id - 1].pos == (tag,)
@@ -202,7 +206,7 @@ def test_the_unique_carrier_wins_regardless_of_its_neighbours(tag, other_groups,
 @given(pos_group, st.sampled_from(OPEN))
 def test_single_homograph_words_always_get_id_one(group, tag):
     entry = entry_from_groups("w", [group])
-    result = disambiguate_token(make_lexicon(entry), _identity_map, tok("w", tag.upper()))
+    result = _tag_one(entry, tag)
     assert result.status == ("M" if tag in group else "F")
     assert result.homograph_id == 1
     assert result.n_homographs == 1
@@ -214,15 +218,10 @@ def test_single_homograph_words_always_get_id_one(group, tag):
 PENN_FINE_TAGS = sorted(default_tagmap().entries)
 
 
-@st.composite
-def random_documents(draw, words):
+def random_lines(words):
+    """One document's token lines: known or unknown surfaces with any Penn fine tag."""
     surfaces = st.one_of(st.sampled_from(words), st.just("zzq-unknown"))
-    token_data = st.tuples(surfaces, st.sampled_from(PENN_FINE_TAGS))
-    docs = draw(st.lists(st.lists(token_data, min_size=1, max_size=12), min_size=1, max_size=4))
-    return [
-        Document(f"d{i}", tuple(tok(s, f, index=j) for j, (s, f) in enumerate(pairs)))
-        for i, pairs in enumerate(docs, start=1)
-    ]
+    return st.lists(st.tuples(surfaces, st.sampled_from(PENN_FINE_TAGS)), min_size=1, max_size=48)
 
 
 @pytest.fixture(scope="module")
@@ -230,39 +229,43 @@ def news_words(news_lexicon):
     return sorted(entry.key for entry in news_lexicon)
 
 
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    # each example rewrites the one corpus file in it
+    return tmp_path_factory.mktemp("corpus")
+
+
 @given(data=st.data())
-def test_every_token_is_accounted_for(news_lexicon, penn, news_words, data):
-    docs = data.draw(random_documents(news_words))
-    for doc in docs:
-        for _, _, result in tag_document(news_lexicon, penn, doc):
-            entry = lookup(news_lexicon, result.lemma or result.surface)
-            if result.status in ("M", "F"):
-                assert result.coarse_tag in penn.open_class
-                assert result.homograph_id is not None
-                assert result.n_homographs == len(entry.homographs)
-                if result.status == "M":
-                    chosen = entry.homographs[result.homograph_id - 1]
-                    assert result.coarse_tag in chosen.pos
-                else:
-                    assert result.homograph_id == 1
-                    assert all(result.coarse_tag not in h.pos for h in entry.homographs)
+def test_every_token_is_accounted_for(news_lexicon, penn, news_words, corpus_dir, data):
+    by_key = {entry.key: entry for entry in news_lexicon}
+    lines = data.draw(random_lines(news_words))
+    for result in tag_lines(corpus_dir, news_lexicon, penn, *lines):
+        entry = by_key.get((result.lemma or result.surface).lower())
+        if result.status in ("M", "F"):
+            assert result.coarse_tag in penn.open_class
+            assert result.homograph_id is not None
+            assert result.n_homographs == len(entry.homographs)
+            if result.status == "M":
+                chosen = entry.homographs[result.homograph_id - 1]
+                assert result.coarse_tag in chosen.pos
             else:
-                assert result.homograph_id is None
-                assert result.n_homographs == 0
-                if result.status == "U":
-                    assert result.coarse_tag in penn.open_class and entry is None
-                else:
-                    assert result.status == "C"
-                    assert result.coarse_tag not in penn.open_class
+                assert result.homograph_id == 1
+                assert all(result.coarse_tag not in h.pos for h in entry.homographs)
+        else:
+            assert result.homograph_id is None
+            assert result.n_homographs == 0
+            if result.status == "U":
+                assert result.coarse_tag in penn.open_class and entry is None
+            else:
+                assert result.status == "C"
+                assert result.coarse_tag not in penn.open_class
 
 
 @given(data=st.data())
-def test_tagging_is_deterministic(news_lexicon, penn, news_words, data):
-    docs = data.draw(random_documents(news_words))
-    runs = [
-        render_output([r for d in docs for r in tag_document(news_lexicon, penn, d)])
-        for _ in range(2)
-    ]
+def test_tagging_is_deterministic(news_lexicon, penn, news_words, corpus_dir, data):
+    lines = data.draw(random_lines(news_words))
+    runs = [tag_lines(corpus_dir, news_lexicon, penn, *lines) for _ in range(2)]
+    # a record's tail is its rendered output line
     assert runs[0] == runs[1]
 
 

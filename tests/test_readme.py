@@ -1,17 +1,35 @@
-"""The README's Library example, run against the test fixtures so that it cannot drift."""
+"""The README's Library section, checked against the package so that it cannot drift."""
 
+import builtins
 import re
 from collections import Counter
 from pathlib import Path
 
+import homograph_tagger
+
 README = Path(__file__).parent.parent / "README.md"
 
 
-def library_example():
-    """The first Python block after the README's `## Library` heading."""
+def library_section():
+    """The README's text from its `## Library` heading to the next heading of that level."""
     text = README.read_text("utf-8")
-    section = text[text.index("\n## Library\n"):]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    section = text[text.index("\n## Library\n") + 1:]
+    return section[:section.find("\n## ")]
+
+
+def library_example():
+    """The first Python block of the README's Library section."""
+    return re.search(r"```python\n(.*?)```", library_section(), re.DOTALL).group(1)
+
+
+def test_every_function_the_library_section_calls_is_exported():
+    # a bare `name(`, not a method or module attribute such as `gc.freeze(`
+    called = set(re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", library_section()))
+    assert {"load_lexicon", "tag_corpus"} <= called
+    missing = sorted(
+        name for name in called - set(dir(builtins)) if not hasattr(homograph_tagger, name)
+    )
+    assert missing == []
 
 
 def test_the_readme_library_example_runs_on_the_fixtures(fixtures_dir, capsys):
