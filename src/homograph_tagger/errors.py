@@ -2,6 +2,9 @@
 
 Everything that means "the input data is bad" derives from
 TaggerDataError so the command-line layer can map it to one exit code.
+Every one is raised the same way, with its whole message ready-made and
+no other state: `PATH:LINE: message` where the raiser knows the file and
+line, `PATH: message` for a whole file.
 """
 
 
@@ -23,17 +26,6 @@ class TagMapError(TaggerDataError):
 
 class UnmappedTagError(TagMapError):
     """A fine tag with no entry in the mapping (strict mode only)."""
-
-    def __init__(self, tag: str, line: int | None = None, path: str | None = None):
-        self.tag = tag
-        self.line = line
-        self.path = path
-        if path is not None:
-            # the shape of every other corpus error: PATH:LINE: message
-            super().__init__(f"{path}:{line}: unmapped fine tag {tag!r}")
-        else:
-            where = f" (line {line})" if line is not None else ""
-            super().__init__(f"unmapped fine tag {tag!r}{where}")
 
 
 class CorpusError(TaggerDataError):

@@ -86,11 +86,9 @@ def evaluate(
             continue
         n_homographs = record.n_homographs
         if not 1 <= gold_id <= n_homographs:
-            index, line, _ = tagged
-            where = f"line {line}" if line is not None else f"token {index}"
             raise EvaluationError(
                 f"gold homograph id {gold_id} out of range 1..{n_homographs}"
-                f" for {normalize_key(record.lemma or record.surface)!r} ({where})"
+                f" for {normalize_key(record.lemma or record.surface)!r} (line {tagged[1]})"
             )
         correct = record.homograph_id == gold_id
         if n_homographs >= 2:

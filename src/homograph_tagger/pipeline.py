@@ -102,9 +102,9 @@ class LineRecord(NamedTuple):
 
 
 # one corpus token: its index in its document, its source line number
-# (kept for diagnostics; None for a token made by hand) and its line's
-# record; a plain tuple, which costs about half what a named one does
-Token = tuple[int, "int | None", LineRecord]
+# (kept for diagnostics) and its line's record; a plain tuple, which
+# costs about half what a named one does
+Token = tuple[int, int, LineRecord]
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,9 @@ def tag_corpus(
     untagged; words missing from the lexicon are flagged unknown;
     otherwise the first homograph whose tags hold the coarse tag is
     chosen, falling back to homograph 1 when none does. In strict mode
-    the first unmapped fine tag of a document is raised, as `PATH:LINE:
-    unmapped fine tag 'XYZ'`, once the document has been read, so a
-    malformed line later in it is raised first; in lenient mode an
+    an unmapped fine tag is raised at its line, as `PATH:LINE: unmapped
+    fine tag 'XYZ'`, like every other corpus error, so the first bad
+    line in reading order is the one reported; in lenient mode an
     unmapped fine tag makes its token closed class. Each distinct line is
     checked and tagged once per run (see the module docstring). With
     render false every record's tail is None: a caller that never
@@ -174,9 +174,6 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
     ordinal = 0
     current_id: str | None = None
     tokens: list[Token] = []
-    # the unmapped tag, its line and the path, not the error: this frame is
-    # in the error's traceback, so an error kept here would make a reference cycle
-    unmapped: tuple[str, int, str] | None = None
     with numbered_lines(path, CorpusError) as lines:
         for lineno, raw in lines:
             record = known(raw)
@@ -186,7 +183,7 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                     # blank lines end a document once it has tokens; a freshly
                     # declared, still-empty document stays open
                     if tokens:
-                        yield _ended(current_id, tokens, unmapped)
+                        yield Document(current_id, tuple(tokens))
                         current_id, tokens = None, []
                     continue
                 if line[0] == "#" and line[1:2] != "\t":
@@ -195,7 +192,7 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                         if not doc_id:
                             raise CorpusError(f"{source}:{lineno}: document header with empty id")
                         if current_id is not None:
-                            yield _ended(current_id, tokens, unmapped)
+                            yield Document(current_id, tuple(tokens))
                         ordinal += 1
                         current_id, tokens = _new_id(doc_id, seen, source, lineno), []
                     continue
@@ -215,28 +212,18 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                 gold = _gold_id(fields[3], source, lineno) if n_fields == 4 and fields[3] else None
                 record = record_of(surface, fine, lemma, gold)
                 if record is None:
-                    # kept as a token, so that the document ends where it would
-                    unmapped = unmapped or (fine, lineno, source)
-                    record = _untagged(surface, fine, lemma, gold)
-                else:
-                    if len(table) >= limit:
-                        table.clear()
-                    table[raw] = record
+                    raise UnmappedTagError(f"{source}:{lineno}: unmapped fine tag {fine!r}")
+                if len(table) >= limit:
+                    table.clear()
+                table[raw] = record
             if current_id is None:
                 ordinal += 1
                 current_id = _new_id(f"doc{ordinal}", seen, source, lineno)
             tokens.append((len(tokens), lineno, record))
     if current_id is not None:
-        yield _ended(current_id, tokens, unmapped)
+        yield Document(current_id, tuple(tokens))
     if not seen:
         raise CorpusError(f"{source}: empty corpus (no documents)")
-
-
-def _ended(doc_id: str, tokens: list[Token], unmapped: tuple[str, int, str] | None) -> Document:
-    """The document that has just been read, unless a fine tag in it was unmapped."""
-    if unmapped is not None:
-        raise UnmappedTagError(*unmapped)
-    return Document(doc_id, tuple(tokens))
 
 
 def _untagged(surface: str, fine: str, lemma: str | None, gold: int | None) -> LineRecord:
@@ -287,7 +274,7 @@ def tag_document(lexicon: Lexicon, mapping: TagMapping, document: Document) -> l
         if tagged is None:
             tagged = tag(*record[:4])
             if tagged is None:
-                raise UnmappedTagError(record.fine_tag, line=line)
+                raise UnmappedTagError(f"unmapped fine tag {record.fine_tag!r} (line {line})")
             tagged_of[record] = tagged
         results.append((index, line, tagged))
     return results

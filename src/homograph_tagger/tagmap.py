@@ -9,7 +9,8 @@ Mapping file format (UTF-8):
     VBZ<TAB>v
 
 `!open:` declares which coarse tags count as open class (content
-words); when the header is omitted the set defaults to n/v/adj/adv.
+words) and must name at least one; when the header is omitted the set
+defaults to n/v/adj/adv.
 `!proper:` optionally lists the fine tags that --skip-proper treats as
 proper-noun tags. A line whose first character is '#' is a comment
 unless the '#' is immediately followed by a tab, which is how the
@@ -81,6 +82,8 @@ def _parse_tagmap(lines: Iterable[tuple[int, str]], source: str, vocabulary) -> 
             if name == "!open":
                 if open_class is not None:
                     raise TagMapError(f"{source}:{lineno}: duplicate !open header")
+                if not tags:
+                    raise TagMapError(f"{source}:{lineno}: !open names no coarse tag")
                 unknown = [t for t in tags if t not in vocab]
                 if unknown:
                     raise TagMapError(

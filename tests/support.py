@@ -30,7 +30,7 @@ def make_lexicon(*entries, vocabulary=None):
     )
 
 
-def tok(surface, fine, lemma=None, gold=None, index=0, line=None):
+def tok(surface, fine, lemma=None, gold=None, index=0, line=1):
     return index, line, LineRecord(surface, fine, lemma, gold)
 
 

@@ -280,15 +280,15 @@ def test_tag_unmapped_tag_fails_with_tag_and_line(runner, fixtures_dir, tmp_path
 @pytest.mark.parametrize(
     "text, message",
     [
-        # a document is read whole before its first unmapped tag is reported
-        ("odd\tBES\nbad\n", "{corpus}:2: expected 2 to 4 tab-separated fields, got 1"),
+        # an unmapped tag is raised at its line, before a later malformed line
+        ("odd\tBES\nbad\n", "{corpus}:1: unmapped fine tag 'BES'"),
         ("odd\tBES\n\nbad\n", "{corpus}:1: unmapped fine tag 'BES'"),
         ("ok\tNN\nodd\tBES\nodd\tBES\n", "{corpus}:2: unmapped fine tag 'BES'"),
         # a line that failed is never remembered: each error names its first occurrence
         ("ok\tNN\nbad\nok\tNN\nbad\n", "{corpus}:2: expected 2 to 4 tab-separated fields, got 1"),
         ("ok\tNN\n\nok\tNN\t\t0\nok\tNN\t\t0\n", "{corpus}:3: gold homograph id must be >= 1"),
     ],
-    ids=["corpus-error-later-in-document", "unmapped-tag-in-earlier-document",
+    ids=["unmapped-tag-before-corpus-error", "unmapped-tag-in-earlier-document",
          "repeated-unmapped-tag", "repeated-malformed-line", "repeated-bad-gold-id"],
 )
 def test_tag_reports_the_first_error_in_reading_order(runner, fixtures_dir, tmp_path, text, message):
@@ -368,6 +368,22 @@ def test_tag_with_custom_vocab_and_tagmap(runner, fixtures_dir, tmp_path):
     )
     assert result.exit_code == 0
     assert "1\trun\tverb\tM\t2" in result.stdout
+
+
+def test_tag_rejects_an_open_header_that_names_no_tag(runner, fixtures_dir, tmp_path):
+    # with no open-class tag every token would be tagged C
+    tagmap = tmp_path / "map.tsv"
+    tagmap.write_text("!open:\nNN\tn\n", encoding="utf-8")
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("bank\tNN\n", encoding="utf-8")
+    result = invoke(
+        runner, "tag",
+        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--tagmap", tagmap, "--corpus", corpus,
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {tagmap}:1: !open names no coarse tag\n"
 
 
 def test_tag_ignores_a_leading_bom_in_the_corpus(runner, fixtures_dir, tmp_path):
@@ -738,7 +754,7 @@ def test_a_failed_run_frees_its_lexicon(
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "homograph_tagger", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert proc.returncode == 0
     assert "validate" in proc.stdout and "eval" in proc.stdout

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import oracles
@@ -85,6 +87,9 @@ def test_read_corpus_field_handling(tmp_path):
     assert [line for _, line, _ in doc.tokens] == [1, 2, 3, 4]
 
 
+_LONG_GOLD = "a\tNN\t\t" + "1" * 5000 + "\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -104,11 +109,18 @@ def test_read_corpus_field_handling(tmp_path):
         ("", "empty corpus"),
         ("# just a comment\n\n", "empty corpus"),
         ("# doc: a\nx\tNN\n\n# doc: a\ny\tNN\n", "duplicate document id"),
+        # ASCII digits, but more than int() converts: its ValueError is the message
+        pytest.param(_LONG_GOLD, "must be an integer", id="gold-id-past-the-digit-limit"),
     ],
 )
 def test_read_corpus_rejects_malformed_input(tmp_path, text, message):
+    path = write_corpus(tmp_path, text)
+    if text is _LONG_GOLD and not hasattr(sys, "get_int_max_str_digits"):
+        # without a digit limit (Python before 3.11) the long id is just a large one
+        assert len(list(read_corpus(path))) == 1
+        return
     with pytest.raises(CorpusError, match=message):
-        list(read_corpus(write_corpus(tmp_path, text)))
+        list(read_corpus(path))
 
 
 def test_read_corpus_yields_each_document_before_reading_on(tmp_path):
@@ -186,8 +198,6 @@ def test_unmapped_tag_strict_and_lenient(tmp_path, lex, penn):
     # (tag_corpus's message, with the path, is pinned below)
     with pytest.raises(UnmappedTagError) as exc_info:
         tag_document(lex, penn, Document("d", (tok("bank", "XYZ", line=41),)))
-    assert exc_info.value.tag == "XYZ"
-    assert exc_info.value.line == 41
     assert str(exc_info.value) == "unmapped fine tag 'XYZ' (line 41)"
     (lenient,) = tag_lines(tmp_path, lex, penn, ("bank", "XYZ"), strict=False)
     assert lenient.status == "C"
@@ -266,7 +276,6 @@ def test_tag_corpus_names_the_file_and_line_of_an_unmapped_tag(tmp_path, lex, pe
     path.write_text("bank\tNN\nbank\tXYZ\n", encoding="utf-8")
     with pytest.raises(UnmappedTagError) as exc_info:
         list(tag_corpus(lex, penn, path))
-    assert (exc_info.value.tag, exc_info.value.line, exc_info.value.path) == ("XYZ", 2, str(path))
     assert str(exc_info.value) == f"{path}:2: unmapped fine tag 'XYZ'"
 
 

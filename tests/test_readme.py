@@ -1,30 +1,52 @@
-"""The README's Library section, checked against the package so that it cannot drift."""
+"""The README's Command line and Library sections, checked against the package so that
+they cannot drift."""
 
 import builtins
 import re
 from collections import Counter
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import homograph_tagger
+from homograph_tagger.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
 
 
-def library_section():
-    """The README's text from its `## Library` heading to the next heading of that level."""
+def readme_section(heading):
+    """The README's text from its `## heading` line to the next heading of that level."""
     text = README.read_text("utf-8")
-    section = text[text.index("\n## Library\n") + 1:]
+    section = text[text.index(f"\n## {heading}\n") + 1:]
     return section[:section.find("\n## ")]
 
 
 def library_example():
     """The first Python block of the README's Library section."""
-    return re.search(r"```python\n(.*?)```", library_section(), re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", readme_section("Library"), re.DOTALL).group(1)
+
+
+def test_the_command_line_example_is_what_tag_prints(monkeypatch):
+    section = readme_section("Command line")
+    # the worked example: `$ homograph-tagger tag ... | head -4`, then its output lines
+    block = re.search(r"```sh\n(\$ .*?)```", section, re.DOTALL).group(1)
+    command, *shown = block.replace("\\\n", " ").splitlines()
+    program, *args = command.removeprefix("$ ").split()
+    assert program == "homograph-tagger"
+    assert args[-3:] == ["|", "head", "-4"] and len(shown) == 4
+    # the example's fixture paths are relative to the repository root
+    monkeypatch.chdir(README.parent)
+    result = CliRunner().invoke(main, args[:-3])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[:4] == shown
+    # the summary line the section quotes is the one this run prints
+    summary = re.search(r"such as `(tagged [^`]*)`", section).group(1)
+    assert result.stderr == " ".join(summary.split()) + "\n"
 
 
 def test_every_function_the_library_section_calls_is_exported():
     # a bare `name(`, not a method or module attribute such as `gc.freeze(`
-    called = set(re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", library_section()))
+    called = set(re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", readme_section("Library")))
     assert {"load_lexicon", "tag_corpus"} <= called
     missing = sorted(
         name for name in called - set(dir(builtins)) if not hasattr(homograph_tagger, name)

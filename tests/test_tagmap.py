@@ -78,6 +78,8 @@ def test_hash_initial_line_is_data_when_followed_by_a_tab(tmp_path):
         ("NNonly\n", "expected FINE<TAB>COARSE"),
         ("!open: n bogus\nNN\tn\n", "bogus"),
         ("!open: n\n!open: v\nNN\tn\n", "duplicate"),
+        ("!open:\nNN\tn\n", r"map\.tsv:1: !open names no coarse tag"),
+        ("NN\tn\n!open: \t \n", r"map\.tsv:2: !open names no coarse tag"),
         ("!shiny: n\nNN\tn\n", "unknown header"),
         ("!proper: ZZZ\nNN\tn\n", "ZZZ"),
         ("# only a comment\n", "empty"),
