@@ -33,14 +33,8 @@ each kind of value it has built (checked tag lists, homographs,
 homograph sequences with their tag tables, and the pairs in those
 tables) and builds each distinct value once. Entries of one loaded
 lexicon with equal homographs thus share one homographs tuple and one
-by_tag table; both are read-only. The lexicon holds no reference
-cycles, so the collector can never free any of it, yet a caller whose
-collector is on pays three passes over all of it after the load (see
-`load_lexicon`); sharing keeps each to about 0.02-0.03 s on those
-50,000 word types. A caller that keeps the lexicon for the rest of the
-process can freeze it (`gc.freeze()`) before the next collection, so
-that no later collection scans it again. The CLI instead runs the whole
-command inside the same pause (see `cli`).
+by_tag table; both are read-only. What the loaded lexicon costs a
+caller whose cyclic garbage collector is on is told in `load_lexicon`.
 
 `classify_word_type` returns the category's report name:
 "monohomographic", "guaranteed", "possible" or "no-disambiguation".
@@ -53,7 +47,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from importlib.resources import files
 from pathlib import Path
@@ -63,8 +57,6 @@ from .errors import LexiconError, VocabularyError
 from .util import collector_paused, fmt_pct, numbered_lines, pct_of
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
-# _new_tuple(Cls, fields) builds the NamedTuple Cls without running its Python-level __new__
-_new_tuple = tuple.__new__
 
 
 def normalize_key(surface: str) -> str:
@@ -154,21 +146,14 @@ class WordTypeEntry:
         cls, key: str, homographs: tuple[Homograph, ...], by_tag: dict[str, tuple[int, int]]
     ) -> WordTypeEntry:
         """An entry whose by_tag, already built from homographs, is shared, not derived again."""
-        entry = _new_object(cls)
-        _set_key(entry, key)
-        _set_homographs(entry, homographs)
-        _set_by_tag(entry, by_tag)
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "key", key)
+        object.__setattr__(entry, "homographs", homographs)
+        object.__setattr__(entry, "by_tag", by_tag)
         return entry
 
     def sense_count(self) -> int:
         return sum(h.n_senses for h in self.homographs)
-
-
-# the slots' own setters, which a frozen dataclass's __setattr__ does not guard
-_new_object = object.__new__
-_set_key = WordTypeEntry.key.__set__
-_set_homographs = WordTypeEntry.homographs.__set__
-_set_by_tag = WordTypeEntry.by_tag.__set__
 
 
 def _tag_table(homographs: tuple[Homograph, ...]) -> dict[str, tuple[int, int]]:
@@ -225,7 +210,11 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     a generation-0, a generation-1 and a full collection each scan all
     of it, and so does every later full one. Sharing keeps that scan
     small: a load tracks about two objects per word type, and each such
-    pass over a 50,000-type lexicon takes about 0.02-0.03 s.
+    pass over a 50,000-type lexicon takes about 0.02-0.03 s. The lexicon
+    holds no reference cycles, so no collection can free any of it: a
+    caller that keeps it for the rest of the process can freeze it
+    (`gc.freeze()`) before the next collection, so that no later one
+    scans it again.
     """
     with collector_paused():
         vocab = tuple(vocabulary) if vocabulary is not None else default_vocabulary()
@@ -345,7 +334,7 @@ def _entry_reader(vocab: frozenset[str], source: str) -> Callable[[object, int],
             n_senses = len(raw_senses)
             homograph = by_senses.get(n_senses)
             if homograph is None:
-                homograph = by_senses[n_senses] = _new_tuple(Homograph, (tags, n_senses))
+                homograph = by_senses[n_senses] = Homograph(tags, n_senses)
             homographs.append(homograph)
         sequence = tuple(homographs)
         shared = sequences.get(sequence)
@@ -461,8 +450,6 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
 def render_taxonomy(report: TaxonomyReport, fmt: str = "text") -> str:
     """Render a TaxonomyReport as a text table or a flat JSON record."""
     if fmt == "structured":
-        from dataclasses import asdict
-
         return json.dumps(asdict(report)) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")

@@ -133,7 +133,7 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
     read to the end. Iterate it once to stream the corpus;
     `list(read_corpus(path))` reads it whole.
     """
-    return _read(path, _untagged)
+    return _read(path, LineRecord)
 
 
 def tag_corpus(
@@ -155,11 +155,13 @@ def tag_corpus(
     an unmapped fine tag is raised at its line, as `PATH:LINE: unmapped
     fine tag 'XYZ'`, like every other corpus error, so the first bad
     line in reading order is the one reported; in lenient mode an
-    unmapped fine tag makes its token closed class. Each distinct line is
-    checked and tagged once per run (see the module docstring). With
-    render false every record's tail is None: a caller that never
-    renders, such as a scorer, so skips making an output line for every
-    distinct corpus line.
+    unmapped fine tag makes its token closed class. A known open-class
+    token's gold id must name one of its word type's homographs, or it is
+    raised at its line too. Each distinct line is checked and tagged
+    once per run (see the module docstring). With render false every
+    record's tail is None: a caller that never renders, such as a
+    scorer, so skips making an output line for every distinct corpus
+    line.
     """
     return _read(path, _tagging_rule(lexicon, mapping, strict, skip_proper, render))
 
@@ -213,6 +215,12 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                 record = record_of(surface, fine, lemma, gold)
                 if record is None:
                     raise UnmappedTagError(f"{source}:{lineno}: unmapped fine tag {fine!r}")
+                # only a known open-class token has homographs to check a gold id against
+                if gold is not None and 0 < record.n_homographs < gold:
+                    raise CorpusError(
+                        f"{source}:{lineno}: gold homograph id {gold} out of range"
+                        f" 1..{record.n_homographs} for {normalize_key(lemma or surface)!r}"
+                    )
                 if len(table) >= limit:
                     table.clear()
                 table[raw] = record
@@ -224,10 +232,6 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
         yield Document(current_id, tuple(tokens))
     if not seen:
         raise CorpusError(f"{source}: empty corpus (no documents)")
-
-
-def _untagged(surface: str, fine: str, lemma: str | None, gold: int | None) -> LineRecord:
-    return _make(LineRecord, (surface, fine, lemma, gold, None, None, None, 0, None))
 
 
 def _new_id(doc_id: str, seen: set[str], source: str, lineno: int) -> str:

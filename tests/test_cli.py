@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from homograph_tagger import OUTPUT_HEADER
@@ -609,15 +609,20 @@ def test_eval_requires_gold_annotations(runner, fixtures_dir, tmp_path):
 
 
 def test_eval_gold_out_of_range_fails(runner, fixtures_dir, tmp_path):
+    # 'bank' has three homographs; the corpus reader checks the gold id for both commands
     corpus = tmp_path / "c.tsv"
     corpus.write_text("bank\tNN\t\t9\n", encoding="utf-8")
-    result = invoke(
-        runner, "eval",
-        "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
-        "--corpus", corpus,
-    )
-    assert result.exit_code == 1
-    assert "out of range" in result.stderr
+    for command in ("tag", "eval"):
+        result = invoke(
+            runner, command,
+            "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+            "--corpus", corpus,
+        )
+        assert result.exit_code == 1, command
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {corpus}:1: gold homograph id 9 out of range 1..3 for 'bank'\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +846,7 @@ _odd = st.sampled_from(
 )
 _pieces = st.sampled_from([
     b"# doc: d\n", b"!open: n v\n", b"n\n", b"NN\tn\n", b"bank\tNN\n", b"bank\tVB\tbank\t2\n",
+    b"bank\tNN\t\t9\n",
     b'{"word":"bank","homographs":[{"pos":["n"],"senses":[{"def":"x"}]}]}\n',
     b'{"word":"b","homographs":[{"pos":["n","v"],"senses":[{"def":"x"}]},{"pos":["v"],"senses":[]}]}\n',
 ])
@@ -860,8 +866,13 @@ _fuzzed_run = st.sampled_from(sorted(_READS)).flatmap(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(run=_fuzzed_run, data=_fuzzed_bytes, splice_at=st.none() | st.integers(min_value=0))
+# always try a gold id past the word type's homographs, which only the corpus reader can place
+@example(run=("eval", "--corpus"), data=b"bank\tNN\t\t9\n", splice_at=None)
 def test_any_input_bytes_give_output_or_one_error_line(runner, tmp_path, run, data, splice_at):
-    """The fuzzed file is the bytes alone, or the bytes put in the well-formed file at a line start."""
+    """The fuzzed file is the bytes alone, or the bytes put in the well-formed file at a line start.
+
+    A data error (exit 1) names the file it is in, one of those on the command line.
+    """
     command, fuzzed = run
     if splice_at is not None:
         well_formed = _INPUTS[fuzzed].read_bytes()
@@ -879,6 +890,9 @@ def test_any_input_bytes_give_output_or_one_error_line(runner, tmp_path, run, da
     assert result.exit_code in (0, 1, 2)
     if result.exit_code:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+        if result.exit_code == 1:
+            paths = args[2::2]
+            assert any(result.stderr.startswith(f"error: {p}:") for p in paths), result.stderr
     elif command == "tag":
         header, *lines, last = result.stdout.split("\n")
         assert header == OUTPUT_HEADER and last == ""

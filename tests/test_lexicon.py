@@ -138,6 +138,7 @@ FILLER = {"word": "filler", "homographs": [
         ({"word": "w", "homographs": [{"pos": ["n"], "senses": [{"gloss": "d"}]}]}, "string 'def'"),
         ({"word": "w", "homographs": [{"pos": ["n"], "senses": [{"def": 7}]}]}, "string 'def'"),
         ([1, 2], "JSON object"),
+        ({"word": "w", "homographs": ["x"]}, "homograph 1 must be a JSON object"),
     ],
 )
 def test_load_lexicon_rejects_malformed_records(tmp_path, record, message):

@@ -81,6 +81,8 @@ def test_hash_initial_line_is_data_when_followed_by_a_tab(tmp_path):
         ("!open:\nNN\tn\n", r"map\.tsv:1: !open names no coarse tag"),
         ("NN\tn\n!open: \t \n", r"map\.tsv:2: !open names no coarse tag"),
         ("!shiny: n\nNN\tn\n", "unknown header"),
+        ("!open n v\nNN\tn\n", r"map\.tsv:1: malformed header '!open n v'"),
+        ("!proper: NNP\n!proper: NNP\nNNP\tn\n", r"map\.tsv:2: duplicate !proper header"),
         ("!proper: ZZZ\nNN\tn\n", "ZZZ"),
         ("# only a comment\n", "empty"),
     ],
