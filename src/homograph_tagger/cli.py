@@ -12,7 +12,9 @@ order mark, which is ignored.
 `tag` and `eval` stream the corpus through `tag_corpus`: each document
 is read, tagged and written (or scored) before the next one is read,
 and each distinct token line is checked and tagged once, in a table of
-bounded size, so memory does not grow with the corpus. Both print the
+bounded size. So memory stays flat across documents, but one document
+is held whole: a corpus with no blank line is one document, and its
+memory grows with its length. Both print the
 same one-line summary of token statuses to stderr when they succeed:
 `tag` counts the statuses of the tokens it writes, and `eval` reads
 them from its report, which has counted every token's status. A status

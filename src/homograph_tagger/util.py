@@ -8,6 +8,7 @@ decimal.ROUND_HALF_UP gives and what round() does not.
 import gc
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
+from io import BufferedReader, RawIOBase, TextIOWrapper
 from pathlib import Path
 from typing import Iterator
 
@@ -59,7 +60,16 @@ def numbered_lines(
     only, not at U+2028, U+0085 or a form feed. Bytes that are not UTF-8
     raise error_type as `PATH:LINE: not valid UTF-8` when reached.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, "rb", buffering=0) as raw, decoded_lines(raw, path, error_type) as lines:
+        yield lines
+
+
+@contextmanager
+def decoded_lines(
+    raw: RawIOBase, path: str | Path, error_type: type[TaggerDataError]
+) -> Iterator[Iterator[tuple[int, str]]]:
+    """`numbered_lines` of raw, an unbuffered binary stream read from path; closes raw."""
+    with TextIOWrapper(BufferedReader(raw), encoding="utf-8-sig") as fh:
         try:
             yield enumerate(fh, start=1)
         except UnicodeDecodeError:

@@ -6,6 +6,7 @@ from homograph_tagger import (
     LineRecord,
     WordTypeEntry,
     default_vocabulary,
+    load_lexicon,
     tag_corpus,
 )
 
@@ -49,3 +50,18 @@ def tag_lines(directory, lexicon, mapping, *lines, **options):
     text = "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
     documents = tag_corpus(lexicon, mapping, write_corpus(directory, text), **options)
     return [record for document in documents for _, _, record in document.tokens]
+
+
+def cache_files(directory):
+    """The names of the files in a lexicon cache directory, temporary ones included."""
+    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
+
+
+def refuse_full_load(*args):
+    raise AssertionError("a full load ran where the cache should have answered")
+
+
+def warm_up(path, monkeypatch):
+    """Load path once, so that its next load is a cache hit, and make any later full load fail."""
+    load_lexicon(path)
+    monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)

@@ -29,7 +29,7 @@ from homograph_tagger import (
     tag_document,
 )
 from homograph_tagger.cli import main
-from support import make_entry, make_lexicon, tag_lines, tok
+from support import cache_files, make_entry, make_lexicon, tag_lines, tok
 
 OPEN = ("n", "v", "adj", "adv")
 
@@ -97,7 +97,8 @@ def test_a3_taxonomy_statistics_match_the_independent_recount(fixtures_dir):
     print("[PASS] taxonomy over the 50-entry lexicon matches the scripted recount")
 
 
-def test_a4_golden_tagging_run_is_byte_identical_and_fast(fixtures_dir, tmp_path):
+def test_a4_golden_tagging_run_is_byte_identical_and_fast(fixtures_dir, tmp_path, cold_cache):
+    # the first run loads the lexicon in full and caches it, the second loads it from the cache
     golden = (fixtures_dir / "news_corpus_tagged.golden").read_bytes()
     args = [
         "tag",
@@ -111,6 +112,7 @@ def test_a4_golden_tagging_run_is_byte_identical_and_fast(fixtures_dir, tmp_path
         result = run_cli(*args, "--out", out)
         assert result.exit_code == 0, result.stderr
         outputs.append(out.read_bytes())
+        assert len(cache_files(cold_cache)) == 1
     elapsed = time.monotonic() - started
     assert outputs[0] == golden
     assert outputs[1] == golden

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from homograph_tagger import OUTPUT_HEADER
+from homograph_tagger import OUTPUT_HEADER, load_lexicon
 from homograph_tagger import cli
 from homograph_tagger.cli import main
 
@@ -523,6 +523,8 @@ def test_memory_does_not_grow_with_the_corpus(runner, fixtures_dir, tmp_path, co
     # the collector is off during the run, so only a loop that makes no
     # reference cycles keeps the peak flat
     lexicon = fx(fixtures_dir, "pipeline_lexicon.jsonl")
+    # both runs load the lexicon from the cache, so only the corpus differs
+    load_lexicon(lexicon)
     token_lines = [
         line for line in (fixtures_dir / "news_corpus.tsv").read_text("utf-8").splitlines(True)
         if line.strip() and not line.startswith("# ")
@@ -542,6 +544,7 @@ def test_tag_memory_stays_flat_when_no_line_repeats(runner, fixtures_dir, tmp_pa
     # every token line is new, so only the line table's bound keeps it from growing
     monkeypatch.setattr("homograph_tagger.pipeline.LINE_TABLE_SIZE", 64)
     lexicon = fx(fixtures_dir, "pipeline_lexicon.jsonl")
+    load_lexicon(lexicon)
     peaks = {}
     for n_documents in (20, 200):
         documents = (

@@ -19,7 +19,7 @@ from homograph_tagger import (
     render_taxonomy,
 )
 from homograph_tagger.util import pct_of
-from support import make_entry, make_lexicon, tag_lines
+from support import make_entry, make_lexicon, refuse_full_load, tag_lines, warm_up
 
 
 def write_jsonl(path, records):
@@ -163,7 +163,9 @@ def test_a_tag_list_equal_to_a_built_pair_is_still_checked(tmp_path, pos):
         load_lexicon(path)
 
 
-def test_entries_with_equal_homographs_share_them_and_their_tag_table(tmp_path):
+def test_entries_with_equal_homographs_share_them_and_their_tag_table(
+    tmp_path, cold_cache, monkeypatch
+):
     path = tmp_path / "lex.jsonl"
     senses = [{"def": "a"}, {"def": "b"}]
     write_jsonl(path, [
@@ -173,26 +175,30 @@ def test_entries_with_equal_homographs_share_them_and_their_tag_table(tmp_path):
         {"word": "row", "homographs": [{"pos": ["v"], "senses": senses[:1]}, {"pos": ["n"], "senses": senses}]},
         {"word": "mole", "homographs": [{"pos": ["n"], "senses": senses[1:]}]},
     ])
-    bank, fish, sofa, row, mole = load_lexicon(path)
-    assert bank.homographs is fish.homographs
-    assert bank.by_tag is fish.by_tag
-    assert bank.by_tag == {"n": (1, 1), "v": (2, 1)}
-    assert row.by_tag == {"v": (1, 1), "n": (2, 1)}
-    # one object per distinct (pos, n_senses), one tag list per distinct list of tags
-    homographs = [h for entry in (bank, sofa, row, mole) for h in entry.homographs]
-    assert len({id(h) for h in homographs}) == len(set(homographs)) == 3
-    assert len({id(h.pos) for h in homographs}) == 2
-    assert sofa.homographs[0] is bank.homographs[0] is row.homographs[1]
-    assert mole.homographs[0] is not sofa.homographs[0]
-    # one object per distinct (first, count) pair across the tag tables
-    assert bank.by_tag["n"] is sofa.by_tag["n"] is mole.by_tag["n"] is row.by_tag["v"]
-    # a hand-made entry equals a loaded one and derives an equal table of its own
-    made = make_entry("bank", ("n",), ("v",), senses=[2, 1])
-    assert made == bank and hash(made) == hash(bank)
-    assert made.by_tag == bank.by_tag and made.by_tag is not bank.by_tag
+    # the full load on a cold cache, then a cache hit, which must rebuild the same sharing
+    cold = load_lexicon(path)
+    warm_up(path, monkeypatch)
+    for lexicon in (cold, load_lexicon(path)):
+        bank, fish, sofa, row, mole = lexicon
+        assert bank.homographs is fish.homographs
+        assert bank.by_tag is fish.by_tag
+        assert bank.by_tag == {"n": (1, 1), "v": (2, 1)}
+        assert row.by_tag == {"v": (1, 1), "n": (2, 1)}
+        # one object per distinct (pos, n_senses), one tag list per distinct list of tags
+        homographs = [h for entry in (bank, sofa, row, mole) for h in entry.homographs]
+        assert len({id(h) for h in homographs}) == len(set(homographs)) == 3
+        assert len({id(h.pos) for h in homographs}) == 2
+        assert sofa.homographs[0] is bank.homographs[0] is row.homographs[1]
+        assert mole.homographs[0] is not sofa.homographs[0]
+        # one object per distinct (first, count) pair across the tag tables
+        assert bank.by_tag["n"] is sofa.by_tag["n"] is mole.by_tag["n"] is row.by_tag["v"]
+        # a hand-made entry equals a loaded one and derives an equal table of its own
+        made = make_entry("bank", ("n",), ("v",), senses=[2, 1])
+        assert made == bank and hash(made) == hash(bank)
+        assert made.by_tag == bank.by_tag and made.by_tag is not bank.by_tag
 
 
-def test_a_load_tracks_about_one_object_per_word_type(tmp_path):
+def test_a_load_tracks_about_one_object_per_word_type(tmp_path, cold_cache, monkeypatch):
     # 3,000 word types over 12 distinct homograph sequences: a load that made
     # each entry's homographs, tags and tag table anew would track about nine objects per type
     path = tmp_path / "lex.jsonl"
@@ -211,18 +217,22 @@ def test_a_load_tracks_about_one_object_per_word_type(tmp_path):
         {"word": f"w{i}", "homographs": sequences[i % len(sequences)]} for i in range(n_types)
     ])
     default_vocabulary()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        lexicon = load_lexicon(path)
-        added = len(gc.get_objects()) - before
-    finally:
-        if was_enabled:
-            gc.enable()
-    assert len(lexicon) == n_types
-    # the entries, plus a few hundred for the distinct values and the lexicon itself
-    assert added <= n_types + 300, added
+    # the full load on a cold cache, then a cache hit
+    for cache in ("cold", "warm"):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            lexicon = load_lexicon(path)
+            added = len(gc.get_objects()) - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(lexicon) == n_types
+        # the entries, plus a few hundred for the distinct values and the lexicon itself
+        assert added <= n_types + 300, (cache, added)
+        del lexicon
+        monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
 
 
 def test_load_lexicon_reports_the_offending_line(tmp_path):

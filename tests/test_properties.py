@@ -2,7 +2,9 @@
 
 import json
 import re
+import tempfile
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -26,7 +28,7 @@ from homograph_tagger import (
 )
 from homograph_tagger.cli import main
 from homograph_tagger.util import pct_of
-from support import make_entry, make_lexicon, tag_lines, tok
+from support import cache_files, make_entry, make_lexicon, tag_lines, tok
 
 VOCAB = default_vocabulary()
 OPEN = ("n", "v", "adj", "adv")
@@ -155,16 +157,19 @@ def test_loaded_entries_equal_the_entries_made_from_their_parts(tmp_path, record
     path = tmp_path / "entries.jsonl"
     lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
     path.write_text("".join(lines), encoding="utf-8")
-    lexicon = load_lexicon(path)
-    assert [entry.key for entry in lexicon] == [record["word"] for record in records]
-    for entry in lexicon:
-        made = WordTypeEntry(entry.key, entry.homographs)
-        assert entry == made
-        assert list(entry.by_tag.items()) == list(made.by_tag.items())
-    first_with = {}
-    for entry in lexicon:
-        first = first_with.setdefault(entry.homographs, entry)
-        assert entry.homographs is first.homographs and entry.by_tag is first.by_tag
+    # the second load, at least, is a cache hit
+    first_load = load_lexicon(path)
+    for lexicon in (first_load, load_lexicon(path)):
+        assert lexicon == first_load
+        assert [entry.key for entry in lexicon] == [record["word"] for record in records]
+        for entry in lexicon:
+            made = WordTypeEntry(entry.key, entry.homographs)
+            assert entry == made
+            assert list(entry.by_tag.items()) == list(made.by_tag.items())
+        first_with = {}
+        for entry in lexicon:
+            first = first_with.setdefault(entry.homographs, entry)
+            assert entry.homographs is first.homographs and entry.by_tag is first.by_tag
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +340,11 @@ def corpus_text(documents, blank_before_header):
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
 @given(data=st.data())
 def test_tag_and_eval_commands_match_the_oracles(
-    fixtures_dir, tmp_path, news_records, penn_table, data
+    fixtures_dir, tmp_path, news_records, penn_table, monkeypatch, data
 ):
-    check_commands_against_the_oracles(fixtures_dir, tmp_path, news_records, penn_table, data)
+    check_commands_against_the_oracles(
+        fixtures_dir, tmp_path, news_records, penn_table, monkeypatch, data
+    )
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
@@ -348,10 +355,15 @@ def test_tag_and_eval_commands_match_the_oracles_when_the_line_table_holds_one_l
     # the reader empties its table on every new line, so repeated lines are
     # found, forgotten and tagged again
     monkeypatch.setattr("homograph_tagger.pipeline.LINE_TABLE_SIZE", 1)
-    check_commands_against_the_oracles(fixtures_dir, tmp_path, news_records, penn_table, data)
+    check_commands_against_the_oracles(
+        fixtures_dir, tmp_path, news_records, penn_table, monkeypatch, data
+    )
 
 
-def check_commands_against_the_oracles(fixtures_dir, tmp_path, news_records, penn_table, data):
+def check_commands_against_the_oracles(
+    fixtures_dir, tmp_path, news_records, penn_table, monkeypatch, data
+):
+    """tag on a cold and then a warm lexicon cache, then eval, each checked against the oracles."""
     documents = data.draw(corpus_documents(news_records))
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text(corpus_text(documents, data.draw(st.booleans())), encoding="utf-8")
@@ -359,11 +371,16 @@ def check_commands_against_the_oracles(fixtures_dir, tmp_path, news_records, pen
     token_lists = [tokens for _, tokens in documents]
     args = ["--lexicon", str(lexicon), "--corpus", str(corpus)]
     runner = CliRunner()
+    cache = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
 
     tagged = runner.invoke(main, ["tag", *args])
     assert tagged.exit_code == 0, tagged.stderr
     expected = oracles.trace_tag(list(news_records.values()), *penn_table, token_lists)
     assert tagged.stdout == expected
+    assert len(cache_files(cache / "homograph-tagger")) == 1
+    warm = runner.invoke(main, ["tag", *args])
+    assert (warm.exit_code, warm.stdout, warm.stderr) == (0, tagged.stdout, tagged.stderr)
 
     scored = runner.invoke(main, ["eval", *args, "--report-format", "structured"])
     if any(gold is not None for tokens in token_lists for *_, gold in tokens):
