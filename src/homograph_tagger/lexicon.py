@@ -53,22 +53,27 @@ import json
 import os
 import re
 import stat
+import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from importlib.resources import files
 from io import RawIOBase
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import filecache
 from .errors import LexiconError, VocabularyError
 from .util import collector_paused, decoded_lines, fmt_pct, numbered_lines, pct_of
 
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter whose hashlib takes BLAKE2b from elsewhere
+    from hashlib import blake2b
+
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
-# bytes hashed at a time when a lexicon file is looked up in the cache
-_HASH_CHUNK = 1 << 20
 
 
 def normalize_key(surface: str) -> str:
@@ -219,22 +224,26 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     distinct homograph sequences as lists of indexes, and each entry's
     key and sequence index) is written to
     `$XDG_CACHE_HOME/homograph-tagger/`, or `~/.cache/homograph-tagger/`
-    when that variable is unset (see `filecache`). The file is named by
-    the 256-bit BLAKE2b digest of the lexicon bytes the load parsed, the
-    vocabulary, the Python version and the package's own .py sources,
-    so an edited lexicon, another vocabulary, interpreter or version of
-    the code is a miss. A later load of the same bytes hashes the file
-    in chunks, checks the cached form and rebuilds an equal lexicon with
-    the same sharing, decoding no definition: on the benchmark's
-    50,000-type lexicon-large input, about 0.3 s instead of about 0.9 s.
-    The first, cold load of a file costs about a quarter more than a
-    load without the cache, since it hashes the file twice and writes
-    the form. A cache file that cannot be read or does not check out is a
-    miss and is rewritten, and no failure of the cache changes a result
-    or an error. The directory keeps at most `filecache.CACHE_FILES`
-    files, and deleting it is always safe. A file that is not regular,
-    such as `/dev/stdin` or a pipe from `<(...)`, is read once, as it
-    always was, and never cached.
+    when that variable is unset. The file is named by the 256-bit
+    BLAKE2b digest of the lexicon bytes, the vocabulary, the Python
+    version and the package's own .py sources, so an edited lexicon,
+    another vocabulary, interpreter or version of the code is a miss. A
+    later load of the same bytes hashes the file in chunks, checks the
+    cached form and rebuilds an equal lexicon with the same sharing,
+    decoding no definition: on the benchmark's 50,000-type lexicon-large
+    input, about 0.3 s instead of about 0.9 s. The first, cold load of a
+    file costs more than a load without the cache, since it hashes the
+    file before it parses it and then builds and writes the form: about
+    0.2-0.27 s more on lexicon-large, a fifth to a quarter of its load.
+    A file whose size, times or identity changed during the load is not
+    cached, since the bytes parsed may not be the bytes hashed. A cache
+    file that cannot be read or does not check out is a miss and is
+    rewritten, and no failure of the cache changes a result or an error.
+    The directory keeps at most `CACHE_FILES` files, temporary ones
+    included, and deleting it is always safe. A load that cannot make or write the directory, and a
+    load of a file that is not regular, such as `/dev/stdin` or a pipe
+    from `<(...)`, use no cache: the file is read once, as it always
+    was, with nothing hashed and nothing written.
 
     The load runs inside `util.collector_paused`, since each collection
     during it would rescan the growing lexicon. Keeping the loaded
@@ -254,38 +263,20 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     with collector_paused():
         vocab = tuple(vocabulary) if vocabulary is not None else default_vocabulary()
         with open(path, "rb", buffering=0) as raw:
-            seed = filecache.stamped_digest()
-            if seed is None or not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            before = os.fstat(raw.fileno())
+            directory = _cache_directory() if stat.S_ISREG(before.st_mode) else None
+            name = None if directory is None else _cache_name(raw, vocab)
+            if name is None:
                 return _read_lexicon(raw, path, vocab)
-            seed.update(repr(vocab).encode())
-            digest = seed.copy()
-            while chunk := raw.read(_HASH_CHUNK):
-                digest.update(chunk)
-            lexicon = _lexicon_from_form(filecache.read(digest.hexdigest()), vocab)
-            if lexicon is not None:
-                return lexicon
-            # name the file by the bytes this load parses, which may differ from
-            # those just hashed if the file was rewritten in between
-            raw.seek(0)
-            lexicon = _read_lexicon(_Hashed(raw, seed), path, vocab)
-            filecache.write(seed.hexdigest(), _form(lexicon))
+            lexicon = _lexicon_from_form(_read_form(directory, name), vocab)
+            if lexicon is None:
+                raw.seek(0)
+                lexicon = _read_lexicon(raw, path, vocab)
+                # the name is a digest of the bytes hashed, which the bytes parsed from a
+                # file changed or replaced since may not be
+                if _unchanged(path, before):
+                    _write_form(directory, name, _form(lexicon))
             return lexicon
-
-
-class _Hashed(RawIOBase):
-    """An unbuffered binary stream that feeds each byte read from raw to digest."""
-
-    def __init__(self, raw: RawIOBase, digest):
-        self._raw = raw
-        self._digest = digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        size = self._raw.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:size])
-        return size
 
 
 def _read_lexicon(raw: RawIOBase, path: str | Path, vocab: tuple[str, ...]) -> Lexicon:
@@ -517,7 +508,11 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
     if not all(map(str.__eq__, map(normalize_key, keys), keys)):
         return None
     shared = _sequence_sharer()
-    sequences = [shared(tuple(map(homographs.__getitem__, item))) for item in raw_sequences]
+    # in place, so that each list of indexes is freed as its sequence is made, and
+    # the sequences and tag tables reuse that memory instead of raising the peak
+    for position, item in enumerate(raw_sequences):
+        raw_sequences[position] = shared(tuple(map(homographs.__getitem__, item)))
+    sequences = raw_sequences
     del raw_sequences, shared
     entries = tuple(
         WordTypeEntry._shared(key, *sequences[index]) for key, index in zip(keys, sequence_of)
@@ -531,6 +526,144 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
 def _indexes_below(values: list, bound: int) -> bool:
     """Whether values is a non-empty list of ints, each at least 0 and below bound."""
     return bool(values) and set(map(type, values)) == {int} and 0 <= min(values) and max(values) < bound
+
+
+# ---------------------------------------------------------------------------
+# the cache directory
+
+# the most files the cache directory keeps; each write removes the oldest beyond it
+CACHE_FILES = 16
+# bytes hashed at a time when a lexicon file is looked up in the cache: small enough
+# that the allocator reuses one buffer, where 1 MiB chunks raised a CLI child's peak
+# resident memory by about 1 MB
+_HASH_CHUNK = 1 << 16
+_FILE_STATE = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+
+
+def _cache_directory() -> str | None:
+    """The cache directory, made if missing; None when it has no absolute path or cannot be written.
+
+    It is `$XDG_CACHE_HOME/homograph-tagger`, or `~/.cache/homograph-tagger`
+    when that variable is unset, empty or not an absolute path. A load
+    with no directory it can write takes no part in the cache: it hashes
+    nothing and builds no form that it could not keep.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    # with no home directory, expanduser leaves "~" as it is
+    if not os.path.isabs(base):
+        return None
+    directory = os.path.join(base, "homograph-tagger")
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError:
+        return None
+    return directory if os.access(directory, os.W_OK | os.X_OK) else None
+
+
+@cache
+def _code_stamp() -> bytes | None:
+    """A digest of the Python version and the package's .py sources; None when they cannot be read.
+
+    A package installed without its sources has none to read, and so
+    caches nothing.
+    """
+    stamp = blake2b(sys.version.encode(), digest_size=32)
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    try:
+        for source in sources:
+            text = source.read_bytes()
+            stamp.update(f"\0{source.name}\0{len(text)}\0".encode())
+            stamp.update(text)
+    except OSError:
+        return None
+    return stamp.digest() if sources else None
+
+
+def _cache_name(raw: RawIOBase, vocab: tuple[str, ...]) -> str | None:
+    """The cache file name for the lexicon raw holds, which it reads to the end.
+
+    The name is the 256-bit BLAKE2b hex digest of the code stamp, the
+    vocabulary and the bytes, which are hashed _HASH_CHUNK at a time.
+    Without a code stamp it is None, and raw is not read.
+    """
+    stamp = _code_stamp()
+    if stamp is None:
+        return None
+    digest = blake2b(stamp, digest_size=32)
+    digest.update(repr(vocab).encode())
+    while chunk := raw.read(_HASH_CHUNK):
+        digest.update(chunk)
+    return digest.hexdigest() + ".json"
+
+
+def _unchanged(path: str | Path, before: os.stat_result) -> bool:
+    """Whether path still names the file whose status was before, with no write to it since.
+
+    Every write changes a file's size or its modification and
+    status-change times, and no caller can set the latter back.
+    """
+    try:
+        after = os.stat(path)
+    except OSError:
+        return False
+    return _FILE_STATE(after) == _FILE_STATE(before)
+
+
+def _read_form(directory: str, name: str) -> object:
+    """The decoded JSON of the cache file name, or None when it is missing or cannot be read."""
+    try:
+        with open(os.path.join(directory, name), encoding="ascii") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        # RecursionError: JSON nested too deeply, which json does not count as a ValueError
+        return None
+
+
+def _write_form(directory: str, name: str, form: dict[str, list]) -> None:
+    """Keep form as the cache file name, then trim the directory; any failure is ignored.
+
+    The form goes to a temporary file beside its target that os.replace
+    moves into place, so a reader sees a whole file or none, and
+    concurrent writers of one name leave one file.
+    """
+    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            # json.dumps, unlike json.dump, encodes in C; ensure_ascii (its default)
+            # keeps lone surrogates, which a lexicon's JSON escapes may hold
+            with open(descriptor, "w", encoding="ascii") as fh:
+                fh.write(json.dumps(form, separators=(",", ":")))
+            os.replace(temporary, os.path.join(directory, name))
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(temporary)
+            raise
+        _trim(directory)
+    except OSError:
+        pass
+
+
+def _trim(directory: str) -> None:
+    """Remove the oldest files beyond CACHE_FILES, temporary ones included.
+
+    A temporary file that a killed writer left behind thus ages out like
+    any other. A live writer whose temporary file is removed fails its
+    os.replace, and its write is dropped.
+    """
+    aged = []
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            # another writer may have removed it first
+            with suppress(FileNotFoundError):
+                if entry.is_file(follow_symlinks=False):
+                    aged.append((entry.stat(follow_symlinks=False).st_mtime_ns, entry.path))
+    aged.sort()
+    for _, path in aged[: max(0, len(aged) - CACHE_FILES)]:
+        with suppress(FileNotFoundError):
+            os.unlink(path)
 
 
 # ---------------------------------------------------------------------------

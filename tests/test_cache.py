@@ -11,9 +11,9 @@ import threading
 import pytest
 from click.testing import CliRunner
 
-from homograph_tagger import LexiconError, filecache, load_lexicon
+from homograph_tagger import LexiconError, load_lexicon
 from homograph_tagger.cli import main
-from homograph_tagger.lexicon import _entry_reader
+from homograph_tagger.lexicon import _code_stamp, _entry_reader, _read_lexicon
 from support import cache_files, refuse_full_load
 
 SUMMARY = "tagged 209 tokens in 5 documents: 107 matched, 3 fallback, 7 unknown, 92 closed-class\n"
@@ -190,15 +190,28 @@ def test_a_lexicon_that_cannot_be_read_fails_as_without_a_cache(
     assert result.stderr == f"error: {message.format(path=path)}\n"
 
 
-@pytest.mark.parametrize("blocked", ["read-only-directory", "file-in-its-place"])
-def test_an_unwritable_cache_changes_no_result(cold_cache, fixtures_dir, lexicon_path, tmp_path, blocked):
-    # root may write into a read-only directory; a file in the directory's place stops everyone
+def refuse_cache_work(*args):
+    raise AssertionError("a load that cannot write the cache hashed its file or built its form")
+
+
+@pytest.mark.parametrize(
+    "blocked", ["read-only-directory", "file-in-its-place", "cache-home-is-a-file"]
+)
+def test_an_unwritable_cache_changes_no_result(
+    cold_cache, fixtures_dir, lexicon_path, tmp_path, monkeypatch, blocked
+):
     if blocked == "read-only-directory":
         cold_cache.mkdir(parents=True)
         cold_cache.chmod(0o555)
-    else:
+    elif blocked == "file-in-its-place":
         cold_cache.parent.mkdir(parents=True, exist_ok=True)
         cold_cache.write_bytes(b"")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(lexicon_path))
+    # root may write into a read-only directory; a file in the way stops everyone
+    if blocked != "read-only-directory" or os.geteuid() != 0:
+        monkeypatch.setattr("homograph_tagger.lexicon._cache_name", refuse_cache_work)
+        monkeypatch.setattr("homograph_tagger.lexicon._form", refuse_cache_work)
     golden = (fixtures_dir / "news_corpus_tagged.golden").read_bytes()
     try:
         for run in range(2):
@@ -214,6 +227,30 @@ def test_an_unwritable_cache_changes_no_result(cold_cache, fixtures_dir, lexicon
         assert cold_cache.read_bytes() == b""
     elif os.geteuid() != 0:
         assert cache_files(cold_cache) == []
+
+
+@pytest.mark.parametrize("change", ["appended-to", "replaced", "removed"])
+def test_a_file_changed_during_its_load_is_not_cached(
+    cold_cache, lexicon_path, monkeypatch, change
+):
+    extra = b'{"word":"zzz","homographs":[{"pos":["n"],"senses":[{"def":"d"}]}]}\n'
+    original = lexicon_path.read_bytes()
+
+    def changed_then_read(raw, path, vocab):
+        # after the lookup hashed the file; another size or file, whatever the clock's grain
+        if change == "appended-to":
+            with open(path, "ab") as fh:
+                fh.write(extra)
+        elif change == "replaced":
+            lexicon_path.with_suffix(".new").write_bytes(original)
+            os.replace(lexicon_path.with_suffix(".new"), path)
+        else:
+            os.unlink(path)
+        return _read_lexicon(raw, path, vocab)
+
+    monkeypatch.setattr("homograph_tagger.lexicon._read_lexicon", changed_then_read)
+    assert ("zzz" in load_lexicon(lexicon_path)._index) == (change == "appended-to")
+    assert cache_files(cold_cache) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
@@ -238,12 +275,17 @@ def test_a_lexicon_read_from_a_pipe_loads_and_writes_nothing(cold_cache, lexicon
 
 
 def test_the_cache_keeps_at_most_its_file_cap(cold_cache, tmp_path, monkeypatch):
-    monkeypatch.setattr(filecache, "CACHE_FILES", 3)
+    monkeypatch.setattr("homograph_tagger.lexicon.CACHE_FILES", 3)
+    # a temporary file that a killed writer left counts, and ages out as the oldest
+    cold_cache.mkdir(parents=True)
+    (cold_cache / ".left.0000.tmp").write_bytes(b"{")
+    age(cold_cache)
     paths = [one_word_lexicon(tmp_path / f"lex{n}.jsonl", f"w{n}") for n in range(5)]
     for n, path in enumerate(paths):
         load_lexicon(path)
         age(cold_cache)
-        assert len(cache_files(cold_cache)) == min(n + 1, 3)
+        assert len(cache_files(cold_cache)) == min(n + 2, 3)
+    assert all(name.endswith(".json") for name in cache_files(cold_cache))
     # the three most recently written stay
     monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
     for path in paths[2:]:
@@ -253,12 +295,12 @@ def test_the_cache_keeps_at_most_its_file_cap(cold_cache, tmp_path, monkeypatch)
 def test_a_package_without_its_sources_caches_nothing(cold_cache, lexicon_path, tmp_path):
     # the cache name covers the package's .py sources, so without them there is no name to give
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(filecache, "__file__", str(tmp_path / "no-sources" / "filecache.pyc"))
-        filecache._code_stamp.cache_clear()
+        patch.setattr("homograph_tagger.lexicon.__file__", str(tmp_path / "no-sources" / "lexicon.pyc"))
+        _code_stamp.cache_clear()
         try:
             without_sources = load_lexicon(lexicon_path)
         finally:
-            filecache._code_stamp.cache_clear()
+            _code_stamp.cache_clear()
     assert cache_files(cold_cache) == []
     assert without_sources == load_lexicon(lexicon_path)
     assert len(cache_files(cold_cache)) == 1
