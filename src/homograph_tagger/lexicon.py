@@ -36,15 +36,20 @@ lexicon with equal homographs thus share one homographs tuple and one
 by_tag table; both are read-only. What the loaded lexicon costs a
 caller whose cyclic garbage collector is on is told in `load_lexicon`.
 
-A lexicon loaded once is kept in an on-disk cache under a digest of its
-bytes, so a later load of the same file rebuilds it from a compact JSON
-form with the same sharing, without decoding the lexicon's JSON again;
-`load_lexicon` tells where the cache lives and what it costs.
+A lexicon loaded once is kept in an on-disk cache under a SHA-256
+digest of its bytes, so a later load of the same file rebuilds it from
+a compact JSON form with the same sharing, without decoding the
+lexicon's JSON again: the form lists each distinct homograph sequence
+once, and the rebuild makes its tuple and tag table once, straight
+from its list of indexes. `load_lexicon` tells where the cache lives
+and what it costs.
 
 `classify_word_type` returns the category's report name:
 "monohomographic", "guaranteed", "possible" or "no-disambiguation".
-`analyze_lexicon` counts those names, and `render_taxonomy` prints the
-percentages `analyze_lexicon` rounded once, as stored.
+`analyze_lexicon` counts those names, classifying each shared
+homographs tuple once for all the entries that share it (23,526
+sequences for lexicon-large's 50,000 word types), and `render_taxonomy`
+prints the percentages `analyze_lexicon` rounded once, as stored.
 """
 
 from __future__ import annotations
@@ -66,12 +71,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
-from .util import collector_paused, decoded_lines, fmt_pct, numbered_lines, pct_of
-
-try:
-    from _blake2 import blake2b
-except ImportError:  # an interpreter whose hashlib takes BLAKE2b from elsewhere
-    from hashlib import blake2b
+from .util import check_utf8, collector_paused, decoded_lines, fmt_pct, numbered_lines, pct_of
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -94,13 +94,13 @@ def normalize_key(surface: str) -> str:
 def default_vocabulary() -> tuple[str, ...]:
     """The 17-tag coarse category vocabulary shipped with the package."""
     path = files("homograph_tagger") / "data/coarse_tags.txt"
-    with numbered_lines(path, VocabularyError) as lines:
+    with numbered_lines(path) as lines:
         return _parse_vocabulary(lines, "<default vocabulary>")
 
 
 def load_vocabulary(path: str | Path) -> tuple[str, ...]:
     """Load a vocabulary file: one coarse tag per line, '#' comments allowed."""
-    with numbered_lines(path, VocabularyError) as lines:
+    with numbered_lines(path) as lines:
         return _parse_vocabulary(lines, str(path))
 
 
@@ -108,6 +108,7 @@ def _parse_vocabulary(lines: Iterable[tuple[int, str]], source: str) -> tuple[st
     tags: list[str] = []
     seen: set[str] = set()
     for lineno, raw in lines:
+        check_utf8(raw, source, lineno, VocabularyError)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,7 +157,7 @@ class WordTypeEntry:
     by_tag: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "by_tag", _tag_table(self.homographs))
+        object.__setattr__(self, "by_tag", _tag_table(self.homographs, _Pairs()))
 
     @classmethod
     def _shared(
@@ -164,22 +165,43 @@ class WordTypeEntry:
     ) -> WordTypeEntry:
         """An entry whose by_tag, already built from homographs, is shared, not derived again."""
         entry = object.__new__(cls)
-        object.__setattr__(entry, "key", key)
-        object.__setattr__(entry, "homographs", homographs)
-        object.__setattr__(entry, "by_tag", by_tag)
+        # the slots' own setters, which a frozen class's __setattr__ would refuse
+        # and object.__setattr__ would look up by name for every field
+        _set_key(entry, key)
+        _set_homographs(entry, homographs)
+        _set_by_tag(entry, by_tag)
         return entry
 
     def sense_count(self) -> int:
         return sum(h.n_senses for h in self.homographs)
 
 
-def _tag_table(homographs: tuple[Homograph, ...]) -> dict[str, tuple[int, int]]:
+_homographs_of = attrgetter("homographs")
+_set_key = WordTypeEntry.key.__set__
+_set_homographs = WordTypeEntry.homographs.__set__
+_set_by_tag = WordTypeEntry.by_tag.__set__
+
+
+class _Pairs(dict):
+    """The pairs of the tag tables built with it, each built once and then shared.
+
+    pairs[first] is (first, 1), the pair of a tag first seen on homograph
+    first, and pairs[pair] is the pair that follows it when one more
+    homograph carries the tag.
+    """
+
+    def __missing__(self, key):
+        pair = self[key] = (key, 1) if type(key) is int else (key[0], key[1] + 1)
+        return pair
+
+
+def _tag_table(homographs: tuple[Homograph, ...], pairs: _Pairs) -> dict[str, tuple[int, int]]:
     """coarse tag -> (id of the first homograph carrying it, number of homographs carrying it)."""
     by_tag: dict[str, tuple[int, int]] = {}
-    for homograph_id, homograph in enumerate(homographs, start=1):
-        for tag in homograph.pos:
-            first, count = by_tag.get(tag, (homograph_id, 0))
-            by_tag[tag] = (first, count + 1)
+    for homograph_id, (pos, _) in enumerate(homographs, start=1):
+        for tag in pos:
+            pair = by_tag.get(tag)
+            by_tag[tag] = pairs[homograph_id if pair is None else pair]
     return by_tag
 
 
@@ -216,7 +238,8 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
 
     Each distinct homograph, homograph sequence and tag table is built
     once per call and shared by every entry that has it, so entries with
-    equal homographs share one homographs tuple and one by_tag table.
+    equal homographs share one homographs tuple and one by_tag table,
+    and `analyze_lexicon` classifies each shared sequence once.
 
     A lexicon loaded from a regular file is cached, so that the next
     load of the same bytes need not decode its JSON again. After a
@@ -224,14 +247,15 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     distinct homograph sequences as lists of indexes, and each entry's
     key and sequence index) is written to
     `$XDG_CACHE_HOME/homograph-tagger/`, or `~/.cache/homograph-tagger/`
-    when that variable is unset. The file is named by the 256-bit
-    BLAKE2b digest of the lexicon bytes, the vocabulary, the Python
-    version and the package's own .py sources, so an edited lexicon,
-    another vocabulary, interpreter or version of the code is a miss. A
-    later load of the same bytes hashes the file in chunks, checks the
-    cached form and rebuilds an equal lexicon with the same sharing,
-    decoding no definition: on the benchmark's 50,000-type lexicon-large
-    input, about 0.3 s instead of about 0.9 s. The first, cold load of a
+    when that variable is unset. The file is named by the SHA-256
+    digest of the lexicon bytes, the vocabulary, the Python version and
+    the package's own .py sources, so an edited lexicon, another
+    vocabulary, interpreter or version of the code is a miss. A later
+    load of the same bytes hashes the file in chunks, checks the cached
+    form and rebuilds an equal lexicon with the same sharing, making
+    each homograph sequence's tuple and tag table once and decoding no
+    definition: on the benchmark's 50,000-type lexicon-large input
+    (37 MB), about 0.2 s instead of about 0.9 s. The first, cold load of a
     file costs more than a load without the cache, since it hashes the
     file before it parses it and then builds and writes the form: about
     0.2-0.27 s more on lexicon-large, a fifth to a quarter of its load.
@@ -285,8 +309,9 @@ def _read_lexicon(raw: RawIOBase, path: str | Path, vocab: tuple[str, ...]) -> L
     entry_from_record = _entry_reader(frozenset(vocab), source)
     entries: list[WordTypeEntry] = []
     first_line: dict[str, int] = {}
-    with decoded_lines(raw, path, LexiconError) as lines:
+    with decoded_lines(raw) as lines:
         for lineno, text in lines:
+            check_utf8(text, source, lineno, LexiconError)
             line = text.strip()
             if not line:
                 continue
@@ -312,41 +337,20 @@ def _read_lexicon(raw: RawIOBase, path: str | Path, vocab: tuple[str, ...]) -> L
     return Lexicon(vocabulary=vocab, entries=tuple(entries))
 
 
-def _sequence_sharer() -> Callable[[tuple[Homograph, ...]], tuple[tuple[Homograph, ...], dict]]:
-    """The function that gives each homograph sequence's shared copy and tag table, for one load.
-
-    It keeps each sequence it has seen with its tag table, and each pair
-    in those tables, so that equal sequences share one tuple and one
-    table and equal pairs one tuple.
-    """
-    sequences: dict[tuple[Homograph, ...], tuple[tuple[Homograph, ...], dict]] = {}
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def shared(sequence: tuple[Homograph, ...]) -> tuple[tuple[Homograph, ...], dict]:
-        known = sequences.get(sequence)
-        if known is None:
-            by_tag = _tag_table(sequence)
-            for tag, pair in by_tag.items():
-                by_tag[tag] = pairs.setdefault(pair, pair)
-            known = sequences[sequence] = (sequence, by_tag)
-        return known
-
-    return shared
-
-
 def _entry_reader(vocab: frozenset[str], source: str) -> Callable[[object, int], WordTypeEntry]:
     """The function that checks one decoded record and builds its entry, for one load.
 
     It keeps one table per kind of value it builds, for as long as the
     load keeps it, so each distinct value is built once and shared:
     each tag list that has passed the checks, with the Homographs that
-    carry it by sense count; and, through `_sequence_sharer`, each
-    homograph sequence with its tag table, and each pair in those
-    tables. Kinds never share a table: the tag list [1, 2] equals the
-    pair (1, 2), and would pass as already checked.
+    carry it by sense count; each homograph sequence with its tag table;
+    and, in `_Pairs`, each pair in those tables. Kinds never share a
+    table: the tag list [1, 2] equals the pair (1, 2), and would pass as
+    already checked.
     """
     checked: dict[tuple[str, ...], tuple[tuple[str, ...], dict[int, Homograph]]] = {}
-    shared = _sequence_sharer()
+    sequences: dict[tuple[Homograph, ...], tuple[tuple[Homograph, ...], dict]] = {}
+    pairs = _Pairs()
 
     def entry_from_record(record, lineno: int) -> WordTypeEntry:
         """Check one decoded record and build its entry, in one walk.
@@ -416,7 +420,11 @@ def _entry_reader(vocab: frozenset[str], source: str) -> Callable[[object, int],
             if homograph is None:
                 homograph = by_senses[n_senses] = Homograph(tags, n_senses)
             homographs.append(homograph)
-        return WordTypeEntry._shared(normalize_key(word), *shared(tuple(homographs)))
+        sequence = tuple(homographs)
+        known = sequences.get(sequence)
+        if known is None:
+            known = sequences[sequence] = (sequence, _tag_table(sequence, pairs))
+        return WordTypeEntry._shared(normalize_key(word), *known)
 
     return entry_from_record
 
@@ -438,8 +446,9 @@ def _form(lexicon: Lexicon) -> dict[str, list]:
     homograph sequences as lists of indexes into those, and each entry's
     key and the index of its sequence, in entry order. Values are told
     apart by identity, which is cheaper than by value: a loaded lexicon
-    shares each distinct value, and equal values that were not shared
-    would only be listed twice, which the rebuild merges again.
+    shares each distinct value, so each is listed once, and the rebuild
+    shares each listed sequence by its index without comparing it with
+    any other.
     """
     homographs: list[list] = []
     sequences: list[list[int]] = []
@@ -505,19 +514,23 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
         return None
     if set(map(type, keys)) != {str} or "" in keys:
         return None
-    if not all(map(str.__eq__, map(normalize_key, keys), keys)):
+    # str.lower is normalize_key, mapped without a Python call per key
+    if not all(map(str.__eq__, map(str.lower, keys), keys)):
         return None
-    shared = _sequence_sharer()
+    pairs = _Pairs()
+    tables = []
     # in place, so that each list of indexes is freed as its sequence is made, and
     # the sequences and tag tables reuse that memory instead of raising the peak
     for position, item in enumerate(raw_sequences):
-        raw_sequences[position] = shared(tuple(map(homographs.__getitem__, item)))
+        sequence = raw_sequences[position] = tuple(map(homographs.__getitem__, item))
+        tables.append(_tag_table(sequence, pairs))
     sequences = raw_sequences
-    del raw_sequences, shared
-    entries = tuple(
-        WordTypeEntry._shared(key, *sequences[index]) for key, index in zip(keys, sequence_of)
-    )
-    del keys, sequence_of, sequences
+    del raw_sequences, pairs
+    shared = WordTypeEntry._shared
+    entries = tuple([
+        shared(key, sequences[index], tables[index]) for key, index in zip(keys, sequence_of)
+    ])
+    del keys, sequence_of, sequences, tables
     lexicon = Lexicon(vocabulary=vocab, entries=entries)
     # a repeated key would leave the index shorter than the entries
     return lexicon if len(lexicon._index) == len(entries) else None
@@ -563,13 +576,18 @@ def _cache_directory() -> str | None:
 
 
 @cache
-def _code_stamp() -> bytes | None:
-    """A digest of the Python version and the package's .py sources; None when they cannot be read.
+def _code_stamp():
+    """A SHA-256 hash of the Python version and the package's .py sources; None when they cannot be read.
 
     A package installed without its sources has none to read, and so
-    caches nothing.
+    caches nothing. The hash is left open for `_cache_name` to copy.
     """
-    stamp = blake2b(sys.version.encode(), digest_size=32)
+    # hashlib loads OpenSSL (about 4 ms and 3.4 MB of resident library pages), whose
+    # SHA-256 hashed lexicon-large's 37 MB in 0.04 s against BLAKE2b's 0.07 s on a
+    # CPU with SHA extensions; only a load that uses the cache needs it
+    from hashlib import sha256
+
+    stamp = sha256(sys.version.encode())
     sources = sorted(Path(__file__).parent.glob("*.py"))
     try:
         for source in sources:
@@ -578,20 +596,20 @@ def _code_stamp() -> bytes | None:
             stamp.update(text)
     except OSError:
         return None
-    return stamp.digest() if sources else None
+    return stamp if sources else None
 
 
 def _cache_name(raw: RawIOBase, vocab: tuple[str, ...]) -> str | None:
     """The cache file name for the lexicon raw holds, which it reads to the end.
 
-    The name is the 256-bit BLAKE2b hex digest of the code stamp, the
-    vocabulary and the bytes, which are hashed _HASH_CHUNK at a time.
-    Without a code stamp it is None, and raw is not read.
+    The name is the SHA-256 hex digest of what the code stamp hashed,
+    the vocabulary and the bytes, which are hashed _HASH_CHUNK at a
+    time. Without a code stamp it is None, and raw is not read.
     """
     stamp = _code_stamp()
     if stamp is None:
         return None
-    digest = blake2b(stamp, digest_size=32)
+    digest = stamp.copy()
     digest.update(repr(vocab).encode())
     while chunk := raw.read(_HASH_CHUNK):
         digest.update(chunk)
@@ -721,18 +739,33 @@ class TaxonomyReport:
 
 
 def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
-    """Aggregate the four-way classification over a whole lexicon."""
+    """Aggregate the four-way classification over a whole lexicon.
+
+    A word type's category, sense count and collisions all follow from
+    its homographs, so entries that share one homographs tuple, as a
+    loaded lexicon's entries with equal homographs do, are counted
+    together: each shared tuple is classified once and weighted by the
+    number of entries that share it.
+    """
     # load_lexicon rejects an empty file; a Lexicon made by hand may still be empty
     if not lexicon.entries:
         raise LexiconError("cannot analyze an empty lexicon")
+    # entries are alive for the whole call, so the id of a homographs tuple names it
+    shares = Counter(map(id, map(_homographs_of, lexicon.entries)))
     by_category: Counter[str] = Counter()
     n_polysemous = 0
     collisions: Counter[str] = Counter()
     for entry in lexicon.entries:
-        by_category[classify_word_type(entry)] += 1
+        # the first entry with a tuple counts for every entry that shares it
+        weight = shares.pop(id(entry.homographs), 0)
+        if not weight:
+            continue
+        by_category[classify_word_type(entry)] += weight
         if entry.sense_count() >= 2:
-            n_polysemous += 1
-        collisions.update(tag for tag, (_, count) in entry.by_tag.items() if count >= 2)
+            n_polysemous += weight
+        for tag, (_, count) in entry.by_tag.items():
+            if count >= 2:
+                collisions[tag] += weight
     n = len(lexicon.entries)
     n_mono = by_category["monohomographic"]
     # every entry has at least one homograph

@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .errors import CorpusError, UnmappedTagError
 from .lexicon import Lexicon, normalize_key
 from .tagmap import TagMapping
-from .util import numbered_lines
+from .util import check_utf8, numbered_lines
 
 OUTPUT_HEADER = "#homograph-tagger v1"
 # the most distinct token lines a reader keeps; a full table is emptied
@@ -176,10 +176,14 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
     ordinal = 0
     current_id: str | None = None
     tokens: list[Token] = []
-    with numbered_lines(path, CorpusError) as lines:
+    with numbered_lines(path) as lines:
         for lineno, raw in lines:
             record = known(raw)
             if record is None:
+                # a line is stored only once it has passed every check, so only a
+                # miss is checked; most lines are ASCII, which costs no call
+                if not raw.isascii():
+                    check_utf8(raw, source, lineno, CorpusError)
                 line = raw.rstrip("\n")
                 if not line or line.isspace():
                     # blank lines end a document once it has tokens; a freshly

@@ -32,7 +32,7 @@ from typing import Iterable
 
 from .errors import TagMapError
 from .lexicon import default_vocabulary
-from .util import numbered_lines
+from .util import check_utf8, numbered_lines
 
 DEFAULT_OPEN_CLASS = frozenset({"n", "v", "adj", "adv"})
 
@@ -53,13 +53,13 @@ class TagMapping:
 def default_tagmap(vocabulary: tuple[str, ...] | None = None) -> TagMapping:
     """The shipped Penn-Treebank-to-coarse table (48 fine tags)."""
     path = files("homograph_tagger") / "data/penn_to_coarse.tsv"
-    with numbered_lines(path, TagMapError) as lines:
+    with numbered_lines(path) as lines:
         return _parse_tagmap(lines, "<default tag map>", vocabulary)
 
 
 def load_tagmap(path: str | Path, vocabulary: Iterable[str] | None = None) -> TagMapping:
     """Load a mapping file, validating every image tag against the vocabulary."""
-    with numbered_lines(path, TagMapError) as lines:
+    with numbered_lines(path) as lines:
         return _parse_tagmap(lines, str(path), vocabulary)
 
 
@@ -69,6 +69,7 @@ def _parse_tagmap(lines: Iterable[tuple[int, str]], source: str, vocabulary) -> 
     open_class: frozenset[str] | None = None
     proper: frozenset[str] | None = None
     for lineno, raw in lines:
+        check_utf8(raw, source, lineno, TagMapError)
         line = raw.rstrip()
         if not line:
             continue

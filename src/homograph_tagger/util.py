@@ -51,42 +51,37 @@ def collector_paused() -> Iterator[None]:
 
 
 @contextmanager
-def numbered_lines(
-    path: str | Path, error_type: type[TaggerDataError]
-) -> Iterator[Iterator[tuple[int, str]]]:
+def numbered_lines(path: str | Path) -> Iterator[Iterator[tuple[int, str]]]:
     r"""The lines of a UTF-8 text file as (line number, line) pairs, from 1.
 
     A leading byte order mark is skipped. A line ends at \n, \r\n or \r
     only, not at U+2028, U+0085 or a form feed. Bytes that are not UTF-8
-    raise error_type as `PATH:LINE: not valid UTF-8` when reached.
+    are escaped, not raised: a reader passes each line it parses to
+    `check_utf8` before any other check of it, so that the first bad
+    line in reading order is the one reported, whatever is wrong with it.
     """
-    with open(path, "rb", buffering=0) as raw, decoded_lines(raw, path, error_type) as lines:
+    with open(path, "rb", buffering=0) as raw, decoded_lines(raw) as lines:
         yield lines
 
 
 @contextmanager
-def decoded_lines(
-    raw: RawIOBase, path: str | Path, error_type: type[TaggerDataError]
-) -> Iterator[Iterator[tuple[int, str]]]:
-    """`numbered_lines` of raw, an unbuffered binary stream read from path; closes raw."""
-    with TextIOWrapper(BufferedReader(raw), encoding="utf-8-sig") as fh:
-        try:
-            yield enumerate(fh, start=1)
-        except UnicodeDecodeError:
-            raise undecodable(path, error_type) from None
+def decoded_lines(raw: RawIOBase) -> Iterator[Iterator[tuple[int, str]]]:
+    """`numbered_lines` of raw, an unbuffered binary stream; closes raw."""
+    with TextIOWrapper(BufferedReader(raw), encoding="utf-8-sig", errors="surrogateescape") as fh:
+        yield enumerate(fh, start=1)
 
 
-def undecodable(path: str | Path, error_type: type[TaggerDataError]) -> TaggerDataError:
-    """The data error for a file that is not valid UTF-8, naming its first bad line.
+def check_utf8(
+    line: str, source: str, lineno: int, error_type: type[TaggerDataError]
+) -> None:
+    """Raise error_type as `SOURCE:LINE: not valid UTF-8` if line held bytes that are not UTF-8.
 
-    Called only after decoding has failed: the file is read again with
-    undecodable bytes escaped, and lines are numbered as `numbered_lines`
-    numbers them.
+    `numbered_lines` escapes each such byte as a lone surrogate, which
+    no valid UTF-8 decodes to, so such a line alone fails to encode
+    again. An ASCII line is passed without encoding it.
     """
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return error_type(f"{path}:{lineno}: not valid UTF-8")
-    return error_type(f"{path}: not valid UTF-8")
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise error_type(f"{source}:{lineno}: not valid UTF-8") from None

@@ -71,6 +71,36 @@ def test_a_second_load_is_a_cache_hit_equal_to_the_full_load(cold_cache, lexicon
     assert [entry.by_tag for entry in warm] == [entry.by_tag for entry in cold]
 
 
+def identity_partition(values):
+    """The positions of values grouped by the object at each, as a set of groups."""
+    groups = {}
+    for position, value in enumerate(values):
+        groups.setdefault(id(value), []).append(position)
+    return {tuple(group) for group in groups.values()}
+
+
+def test_a_hit_shares_values_exactly_as_the_full_load_does(
+    cold_cache, lexicon_path, tmp_path, monkeypatch
+):
+    # the fixture lexicon, each record repeated under two other words, so that sequences repeat
+    records = list(map(json.loads, lexicon_path.read_text("utf-8").splitlines()))
+    path = tmp_path / "repeated.jsonl"
+    lines = [
+        json.dumps({**record, "word": f"{record['word']}{copy}"}) + "\n"
+        for copy in ("", "-a", "-b")
+        for record in records
+    ]
+    path.write_text("".join(lines), "utf-8")
+    cold = load_lexicon(path)
+    monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
+    warm = load_lexicon(path)
+    assert warm == cold
+    for part in ("homographs", "by_tag"):
+        shared = identity_partition([getattr(entry, part) for entry in cold])
+        assert identity_partition([getattr(entry, part) for entry in warm]) == shared
+        assert len(shared) < len(cold)
+
+
 def test_the_same_bytes_under_another_path_hit(cold_cache, lexicon_path, tmp_path, monkeypatch):
     cold = load_lexicon(lexicon_path)
     elsewhere = tmp_path / "elsewhere.jsonl"

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from importlib.resources import files
@@ -106,6 +107,64 @@ def test_undecodable_input_names_the_first_bad_line(runner, fixtures_dir, tmp_pa
     )
     assert result.exit_code == 1
     assert result.stderr == f"error: {corpus}:4: not valid UTF-8\n"
+
+
+_LEXICON_LINE = b'{"word":"w","homographs":[{"pos":["n"],"senses":[{"def":"d"}]}]}\n'
+
+
+# each input: a good line 1; a line 2 with a data error, or a good one; an undecodable line 3
+@pytest.mark.parametrize(
+    "bad_input, first, data_error, good, undecodable",
+    [
+        ("--corpus", b"bank\tNN\n", b"bank\n", b"bank\tVB\n", b"caf\xe9\tNN\n"),
+        ("--lexicon", _LEXICON_LINE, b"{bad\n", _LEXICON_LINE.replace(b'"w"', b'"x"'),
+         b'{"word":"caf\xe9"}\n'),
+        ("--vocab", b"n\n", b"v v\n", b"v\n", b"caf\xe9\n"),
+        ("--tagmap", b"NN\tn\n", b"NN n\n", b"VB\tv\n", b"JJ\tcaf\xe9\n"),
+    ],
+    ids=["corpus", "lexicon", "vocab", "tagmap"],
+)
+@pytest.mark.parametrize("line_2", ["data-error", "good"])
+def test_the_first_bad_line_is_reported_whatever_is_wrong_with_it(
+    runner, fixtures_dir, tmp_path, bad_input, first, data_error, good, undecodable, line_2
+):
+    # all three lines fall in one decode chunk, whose bad byte must not be raised
+    # ahead of an earlier bad line
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(first + (data_error if line_2 == "data-error" else good) + undecodable)
+    paths = {
+        "--lexicon": fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus": fx(fixtures_dir, "news_corpus.tsv"),
+        bad_input: bad,
+    }
+    result = invoke(runner, "tag", *[a for pair in paths.items() for a in pair])
+    assert result.exit_code == 1
+    if line_2 == "data-error":
+        assert result.stderr.startswith(f"error: {bad}:2: ")
+        assert "UTF-8" not in result.stderr
+    else:
+        assert result.stderr == f"error: {bad}:3: not valid UTF-8\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_an_undecodable_lexicon_in_a_named_pipe_is_reported_at_its_line(tmp_path):
+    # the pipe can be read once only, so the line must be found in that one read
+    fifo = tmp_path / "lexicon.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(_LEXICON_LINE + b'{"word":"caf\xe9"}\n')
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    proc = subprocess.run(
+        [sys.executable, "-m", "homograph_tagger", "validate", "--lexicon", str(fifo)],
+        capture_output=True, timeout=60,
+    )
+    feeder.join(timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == f"error: {fifo}:2: not valid UTF-8\n".encode()
 
 
 _RECORD = '{"word":"w","homographs":[{"pos":["n"],"senses":[{"def":"d"}]}]'

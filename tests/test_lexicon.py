@@ -11,6 +11,7 @@ import oracles
 from homograph_tagger import (
     LexiconError,
     VocabularyError,
+    WordTypeEntry,
     analyze_lexicon,
     classify_word_type,
     default_vocabulary,
@@ -367,6 +368,27 @@ def test_analyze_matches_the_frozen_taxonomy_recount(fixtures_dir):
     report = analyze_lexicon(load_lexicon(fixtures_dir / "taxonomy_lexicon.jsonl"))
     expected = json.loads((fixtures_dir / "taxonomy_expected.json").read_text("utf-8"))
     assert asdict(report) == expected
+
+
+def test_analysis_weights_a_homographs_tuple_by_the_entries_that_share_it():
+    # a hand-made lexicon that passes one homographs tuple to two entries, and an
+    # equal tuple, not shared, to a third: each counts as one word type
+    noun_and_verb = make_entry("bank", ("n",), ("n", "v"), senses=[2, 1])
+    shared = make_lexicon(
+        noun_and_verb,
+        WordTypeEntry("fish", noun_and_verb.homographs),
+        make_entry("row", ("n",), ("n", "v"), senses=[2, 1]),
+        make_entry("sofa", ("n",)),
+    )
+    assert shared.entries[0].homographs is shared.entries[1].homographs
+    report = analyze_lexicon(shared)
+    assert (report.n_word_types, report.n_possible, report.n_monohomographic) == (4, 3, 1)
+    assert report.n_polysemous == 3
+    assert report.collision_histogram == {"n": 3}
+    # the same entries, each with a tuple of its own
+    unshared = [WordTypeEntry(entry.key, tuple(list(entry.homographs))) for entry in shared]
+    assert len({id(entry.homographs) for entry in unshared}) == 4
+    assert analyze_lexicon(make_lexicon(*unshared)) == report
 
 
 def test_analyze_rejects_an_empty_lexicon():

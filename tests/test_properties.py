@@ -28,7 +28,7 @@ from homograph_tagger import (
 )
 from homograph_tagger.cli import main
 from homograph_tagger.util import pct_of
-from support import cache_files, make_entry, make_lexicon, tag_lines, tok
+from support import cache_files, make_entry, make_lexicon, refuse_full_load, tag_lines, tok
 
 VOCAB = default_vocabulary()
 OPEN = ("n", "v", "adj", "adv")
@@ -44,9 +44,13 @@ def entry_from_groups(word, groups, senses=None):
 
 @st.composite
 def lexicon_entries(draw, min_size=1, max_size=12):
+    """Entries made by hand; a word may be given the very homographs tuple of an earlier one."""
     words = draw(st.lists(entry_words, min_size=min_size, max_size=max_size, unique=True))
     entries = []
     for word in words:
+        if entries and draw(st.booleans()):
+            entries.append(WordTypeEntry(word, draw(st.sampled_from(entries)).homographs))
+            continue
         groups = draw(pos_groups)
         senses = draw(st.lists(st.integers(1, 3), min_size=len(groups), max_size=len(groups)))
         entries.append(entry_from_groups(word, groups, senses))
@@ -65,6 +69,12 @@ def as_records(entries):
         }
         for e in entries
     ]
+
+
+def write_records(path, records):
+    """Write records to path as a JSON Lines lexicon."""
+    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +116,9 @@ def test_analysis_is_invariant_under_entry_order(entries, rnd):
     assert analyze_lexicon(make_lexicon(*entries)) == analyze_lexicon(make_lexicon(*shuffled))
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lexicon_entries())
-def test_analysis_matches_the_recount_oracle(entries):
+def test_analysis_matches_the_recount_oracle(tmp_path, entries):
     report = analyze_lexicon(make_lexicon(*entries))
     recount = oracles.taxonomy_recount(as_records(entries))
     assert report.n_guaranteed == recount["n_guaranteed"]
@@ -115,6 +126,18 @@ def test_analysis_matches_the_recount_oracle(entries):
     assert report.n_no_disambiguation == recount["n_no_disambiguation"]
     assert report.polysemous_pct == recount["polysemous_pct"]
     assert report.collision_histogram == recount["collision_histogram"]
+    # loaded, entries with equal homographs share them, and the analysis counts each
+    # shared tuple once: the same report after a full load and after a cache hit
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = directory / "entries.jsonl"
+    write_records(path, as_records(entries))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(directory))
+        full = load_lexicon(path)
+        assert len(cache_files(directory / "homograph-tagger")) == 1
+        patch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
+        hit = load_lexicon(path)
+    assert analyze_lexicon(full) == analyze_lexicon(hit) == report
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +148,7 @@ def test_analysis_matches_the_recount_oracle(entries):
 @given(lexicon_entries())
 def test_records_load_back_to_their_entries(tmp_path, entries):
     path = tmp_path / "entries.jsonl"
-    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in as_records(entries)]
-    path.write_text("".join(lines), encoding="utf-8")
+    write_records(path, as_records(entries))
     assert load_lexicon(path) == make_lexicon(*entries)
 
 
@@ -155,8 +177,7 @@ def repetitive_lexicon_records(draw):
 @given(repetitive_lexicon_records())
 def test_loaded_entries_equal_the_entries_made_from_their_parts(tmp_path, records):
     path = tmp_path / "entries.jsonl"
-    lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
-    path.write_text("".join(lines), encoding="utf-8")
+    write_records(path, records)
     # the second load, at least, is a cache hit
     first_load = load_lexicon(path)
     for lexicon in (first_load, load_lexicon(path)):
