@@ -28,6 +28,23 @@ have printed a prefix of its output; it still exits 1 (or 2) with one
 `error:` line on stderr. A run whose stdout pipe the reader closes early
 (`tag ... | head`) stops quietly: exit 1, nothing on stderr.
 
+A corpus that is a regular file of two parts of PART_BYTES or more is
+split among the usable CPUs at blank lines that end a document (see
+`_corpus_parts` and the `_parts` module, which only such a run imports).
+After the lexicon and tag map are loaded, and before any output opens,
+one worker process is forked per part after the first. Each worker
+holds its own line table and current document, and reads, checks and
+tags (or scores) its part of the one open file. This process tags the
+first part, then takes the workers' results in file order: it names
+their documents after its own, copies their spooled output and adds
+their counts. It raises the first failure in reading order once the
+output that a run in one process would have written is written. So a
+split run gives the same output, summary, error and exit code. A
+corpus from a pipe, one under two parts and one with no document end in
+place stay in this process, as does every corpus where one CPU is
+usable, other threads run, a worker cannot be started or os.fork does
+not exist.
+
 `_Main.invoke` runs the whole command inside `util.collector_paused`,
 so the cyclic garbage collector never rescans the lexicon while the
 command holds it, and is put back as it was however the command ends.
@@ -39,14 +56,16 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import asdict
+from functools import partial
 from itertools import chain, tee
 from operator import attrgetter, itemgetter
-from typing import Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 import click
 
 from .errors import EvaluationError, TaggerDataError
-from .evaluation import evaluate, render_report
+from .evaluation import EvalReport, _summed, evaluate, render_report
 from .lexicon import (
     analyze_lexicon,
     default_vocabulary,
@@ -54,12 +73,15 @@ from .lexicon import (
     load_vocabulary,
     render_taxonomy,
 )
-from .pipeline import OUTPUT_HEADER, render_tokens, status_counts, tag_corpus
+from .pipeline import OUTPUT_HEADER, Document, render_tokens, status_counts, tag_corpus
 from .tagmap import default_tagmap, load_tagmap
 from .util import collector_paused
 
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
+# the fewest corpus bytes in each part of a split run (see `_corpus_parts`):
+# on parts of 64 KiB a second process just paid for itself, on 256 KiB clearly
+PART_BYTES = 1 << 18
 _record_of = itemgetter(2)
 _gold_of = attrgetter("gold_homograph_id")
 
@@ -142,6 +164,49 @@ def _output(path: str | None) -> Iterator[TextIO]:
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform cannot say."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextmanager
+def _corpus_parts(
+    lexicon, mapping, corpus_path: str, work: Callable, **options
+) -> Iterator[tuple[Iterator[Document], Callable[..., Iterator[Any]]]]:
+    """The documents this process tags, and the results of the other processes.
+
+    Yields (documents, results). Where os.fork exists, more than one CPU
+    is usable and the corpus is a regular file of two parts of PART_BYTES
+    or more, `_parts.corpus_parts` may split it among worker processes:
+    documents is then the first part's, and results(write) yields, in file
+    order, what work(documents, write) returned on each other part.
+    Otherwise documents is `tag_corpus(lexicon, mapping, corpus_path,
+    **options)` and results yields nothing.
+    """
+    import stat
+
+    try:
+        before = os.stat(corpus_path)
+    except (OSError, ValueError):
+        # the reader reports a path that cannot be read
+        before = None
+    if before is not None and stat.S_ISREG(before.st_mode) and hasattr(os, "fork"):
+        parts = min(_usable_cpus(), before.st_size // PART_BYTES)
+        if parts > 1:
+            from ._parts import corpus_parts
+
+            split = corpus_parts(
+                lexicon, mapping, corpus_path, before, parts, PART_BYTES, work, **options
+            )
+            with split as documents_and_results:
+                if documents_and_results is not None:
+                    yield documents_and_results
+                    return
+    yield tag_corpus(lexicon, mapping, corpus_path, **options), lambda write=None: iter(())
 
 
 def _output_path(ctx, param, value):
@@ -236,19 +301,32 @@ def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, le
     """Assign a homograph to every token of a POS-tagged corpus."""
     lexicon = _load_lexicon(lexicon_path, vocabulary_path)
     mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
-    stream = tag_corpus(lexicon, mapping, corpus_path, strict=not lenient, skip_proper=skip_proper)
-    # the first document is tagged before any output is opened, so a corpus
-    # that fails at once (missing, empty, malformed at the top) prints nothing
-    documents = chain([next(stream)], stream)
+    options = dict(strict=not lenient, skip_proper=skip_proper, render=True)
+    parts = _corpus_parts(lexicon, mapping, corpus_path, _write_tagged, **options)
+    with parts as (stream, results):
+        # the first document is tagged before any output is opened, so a corpus
+        # that fails at once (missing, empty, malformed at the top) prints nothing
+        documents = chain([next(stream)], stream)
+        with _output(output_path) as out:
+            out.write(f"{OUTPUT_HEADER}\n")
+            counts, n_documents = _write_tagged(documents, out.write)
+            for more_counts, more_documents in results(out.write):
+                counts.update(more_counts)
+                n_documents += more_documents
+    print(_summary(n_documents, counts), file=sys.stderr)
+
+
+def _write_tagged(
+    documents: Iterable[Document], write: Callable[[str], Any]
+) -> tuple[Counter[str], int]:
+    """Write each tagged document's output lines; the counts of their statuses, and of documents."""
     counts: Counter[str] = Counter()
     n_documents = 0
-    with _output(output_path) as out:
-        out.write(f"{OUTPUT_HEADER}\n")
-        for document in documents:
-            out.write(render_tokens(document.tokens))
-            counts.update(status_counts(document.tokens))
-            n_documents += 1
-    print(_summary(n_documents, counts), file=sys.stderr)
+    for document in documents:
+        write(render_tokens(document.tokens))
+        counts.update(status_counts(document.tokens))
+        n_documents += 1
+    return counts, n_documents
 
 
 @main.command(name="eval")
@@ -279,14 +357,37 @@ def eval_command(
     """Tag a gold-annotated corpus and score the assignments."""
     lexicon = _load_lexicon(lexicon_path, vocabulary_path)
     mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
+    options = dict(strict=not lenient, skip_proper=skip_proper, render=False)
+    score = partial(_scored, lexicon)
+    with _corpus_parts(lexicon, mapping, corpus_path, score, **options) as (documents, results):
+        parts = [score(documents), *results()]
+    reports, annotated, n_documents, n_tokens = zip(*parts)
+    report = _summed(EvalReport(**fields) for fields in reports)
+    if not any(annotated):
+        raise EvaluationError(f"{corpus_path}: corpus carries no gold homograph annotations")
+    with _output(report_path) as out:
+        out.write(render_report(report, report_format))
+    # evaluate has counted every open-class token as matched, fallback or unknown
+    known = report.n_open_class - report.n_unknown
+    counts = {
+        "M": known - report.fallback_count,
+        "F": report.fallback_count,
+        "U": report.n_unknown,
+        "C": sum(n_tokens) - report.n_open_class,
+    }
+    print(_summary(sum(n_documents), counts), file=sys.stderr)
+
+
+def _scored(lexicon, documents: Iterable[Document], write=None) -> tuple[dict, bool, int, int]:
+    """The report on documents as a dict, whether a token has a gold id, the documents and tokens.
+
+    write is not used: scoring writes nothing until the whole corpus is scored.
+    """
     annotated = False
     n_documents = n_tokens = 0
 
     def tokens():
         nonlocal annotated, n_documents, n_tokens
-        documents = tag_corpus(
-            lexicon, mapping, corpus_path, strict=not lenient, skip_proper=skip_proper, render=False
-        )
         for document in documents:
             # a gold id is at least 1, so a token is annotated when its gold id is true
             annotated = annotated or any(map(_gold_of, map(_record_of, document.tokens)))
@@ -297,16 +398,4 @@ def eval_command(
     # evaluate takes the two in step, so tee holds at most one token
     scored, aligned = tee(tokens())
     report = evaluate(lexicon, scored, map(_gold_of, map(_record_of, aligned)))
-    if not annotated:
-        raise EvaluationError(f"{corpus_path}: corpus carries no gold homograph annotations")
-    with _output(report_path) as out:
-        out.write(render_report(report, report_format))
-    # evaluate has counted every open-class token as matched, fallback or unknown
-    known = report.n_open_class - report.n_unknown
-    counts = {
-        "M": known - report.fallback_count,
-        "F": report.fallback_count,
-        "U": report.n_unknown,
-        "C": n_tokens - report.n_open_class,
-    }
-    print(_summary(n_documents, counts), file=sys.stderr)
+    return asdict(report), annotated, n_documents, n_tokens

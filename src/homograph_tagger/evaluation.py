@@ -45,6 +45,11 @@ class EvalReport:
 
 
 _END = object()
+# the fields of a report that count tokens, in order; the others are ratios of them
+_COUNTS = (
+    "n_open_class", "n_unknown", "n_mono", "n_poly", "correct_mono", "correct_poly",
+    "fallback_count",
+)
 
 
 def evaluate(
@@ -97,20 +102,39 @@ def evaluate(
         else:
             n_mono += 1
             correct_mono += correct
+    return _report(n_open, n_unknown, n_mono, n_poly, correct_mono, correct_poly, fallbacks)
+
+
+def _report(
+    n_open_class: int,
+    n_unknown: int,
+    n_mono: int,
+    n_poly: int,
+    correct_mono: int,
+    correct_poly: int,
+    fallback_count: int,
+) -> EvalReport:
+    """The report of these counts, with the ratios they give."""
     scored = n_mono + n_poly
     return EvalReport(
-        n_open_class=n_open,
+        n_open_class=n_open_class,
         n_unknown=n_unknown,
         n_mono=n_mono,
         n_poly=n_poly,
         correct_mono=correct_mono,
         correct_poly=correct_poly,
-        fallback_count=fallbacks,
+        fallback_count=fallback_count,
         accuracy_overall=(correct_mono + correct_poly) / scored if scored else None,
         accuracy_mono=correct_mono / n_mono if n_mono else None,
         accuracy_poly=correct_poly / n_poly if n_poly else None,
         poly_share=n_poly / scored if scored else None,
     )
+
+
+def _summed(reports: Iterable[EvalReport]) -> EvalReport:
+    """One report on a corpus from the reports on its parts: counts summed, ratios made again."""
+    reports = list(reports)
+    return _report(*(sum(getattr(report, name) for report in reports) for name in _COUNTS))
 
 
 def render_report(report: EvalReport, fmt: str = "text") -> str:

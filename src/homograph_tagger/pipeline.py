@@ -54,9 +54,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple
 
 from .errors import CorpusError, UnmappedTagError
 from .lexicon import Lexicon, normalize_key
@@ -116,6 +117,8 @@ class Document:
 # the record of a line's surface, fine tag, lemma and gold id: tagged,
 # untagged, or None for an unmapped fine tag in strict mode
 _RecordOf = Callable[..., "LineRecord | None"]
+# the id of a document from its declared id or None and the line where it starts
+_Namer = Callable[[str | None, int], str]
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +172,28 @@ def tag_corpus(
 def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
     """The documents at path, each distinct line's record made once by record_of."""
     source = str(path)
+    seen: set[str] = set()
+    yield from _documents(numbered_lines(path), source, record_of, partial(_new_id, seen, source))
+    if not seen:
+        raise CorpusError(f"{source}: empty corpus (no documents)")
+
+
+def _documents(
+    opened: ContextManager[Iterator[tuple[int, str]]],
+    source: str,
+    record_of: _RecordOf,
+    name: _Namer,
+) -> Iterator[Document]:
+    """The documents of the numbered lines that opened gives.
+
+    Each document is named by name(declared id or None, line) where it starts.
+    """
     limit = LINE_TABLE_SIZE
     table: dict[str, LineRecord] = {}
     known = table.get
-    seen: set[str] = set()
-    ordinal = 0
     current_id: str | None = None
     tokens: list[Token] = []
-    with numbered_lines(path) as lines:
+    with opened as lines:
         for lineno, raw in lines:
             record = known(raw)
             if record is None:
@@ -199,8 +216,7 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                             raise CorpusError(f"{source}:{lineno}: document header with empty id")
                         if current_id is not None:
                             yield Document(current_id, tuple(tokens))
-                        ordinal += 1
-                        current_id, tokens = _new_id(doc_id, seen, source, lineno), []
+                        current_id, tokens = name(doc_id, lineno), []
                     continue
                 fields = line.split("\t")
                 n_fields = len(fields)
@@ -229,17 +245,19 @@ def _read(path: str | Path, record_of: _RecordOf) -> Iterator[Document]:
                     table.clear()
                 table[raw] = record
             if current_id is None:
-                ordinal += 1
-                current_id = _new_id(f"doc{ordinal}", seen, source, lineno)
+                current_id = name(None, lineno)
             tokens.append((len(tokens), lineno, record))
     if current_id is not None:
         yield Document(current_id, tuple(tokens))
-    if not seen:
-        raise CorpusError(f"{source}: empty corpus (no documents)")
 
 
-def _new_id(doc_id: str, seen: set[str], source: str, lineno: int) -> str:
-    """doc_id, once checked against and added to the ids seen so far."""
+def _new_id(seen: set[str], source: str, declared: str | None, lineno: int) -> str:
+    """The id of the document after those seen, declared or numbered, once added to seen.
+
+    A document with no declared id is numbered by its place in the corpus,
+    counting every document, declared or not.
+    """
+    doc_id = f"doc{len(seen) + 1}" if declared is None else declared
     if doc_id in seen:
         raise CorpusError(f"{source}:{lineno}: duplicate document id {doc_id!r}")
     seen.add(doc_id)

@@ -65,10 +65,15 @@ def numbered_lines(path: str | Path) -> Iterator[Iterator[tuple[int, str]]]:
 
 
 @contextmanager
-def decoded_lines(raw: RawIOBase) -> Iterator[Iterator[tuple[int, str]]]:
-    """`numbered_lines` of raw, an unbuffered binary stream; closes raw."""
-    with TextIOWrapper(BufferedReader(raw), encoding="utf-8-sig", errors="surrogateescape") as fh:
-        yield enumerate(fh, start=1)
+def decoded_lines(raw: RawIOBase, first: int = 1) -> Iterator[Iterator[tuple[int, str]]]:
+    """`numbered_lines` of raw, an unbuffered binary stream, numbered from first; closes raw.
+
+    Only line 1 starts a file, so only there is a byte order mark skipped:
+    a U+FEFF at the start of a later line is data.
+    """
+    encoding = "utf-8-sig" if first == 1 else "utf-8"
+    with TextIOWrapper(BufferedReader(raw), encoding=encoding, errors="surrogateescape") as fh:
+        yield enumerate(fh, start=first)
 
 
 def check_utf8(

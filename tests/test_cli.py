@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from homograph_tagger import OUTPUT_HEADER, load_lexicon
-from homograph_tagger import cli
+from homograph_tagger import _parts, cli
 from homograph_tagger.cli import main
 
 
@@ -882,6 +883,234 @@ def test_a_closed_stdout_pipe_ends_the_run_quietly(fixtures_dir, tmp_path):
     assert proc.returncode == 1
     assert b"error:" not in stderr
     assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
+
+
+# ---------------------------------------------------------------------------
+# a corpus split among worker processes
+
+
+def _copies(fixtures_dir, n, bad_in=None):
+    """n renamed copies of the fixture corpus; copy bad_in, if any, ends in a line with one field."""
+    text = (fixtures_dir / "news_corpus.tsv").read_text("utf-8")
+    copies = [text.replace("# doc: ", f"# doc: {k}-") for k in range(n)]
+    if bad_in is not None:
+        copies[bad_in] += "bad line\n"
+    return "\n".join(copies)
+
+
+@pytest.fixture()
+def split_three_ways(monkeypatch, tmp_path):
+    """Runs split a corpus of any size among three CPUs and spool to a private TMPDIR; the forks made.
+
+    Checks once the test is done that no worker is left and no file is left in TMPDIR.
+    """
+    temporary = tmp_path / "tmp"
+    temporary.mkdir()
+    monkeypatch.setattr("tempfile.tempdir", str(temporary))
+    monkeypatch.setattr(cli, "PART_BYTES", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(temporary.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad_in", [0, 8], ids=["first-part", "last-part"])
+def test_a_failed_split_run_leaves_no_worker_and_no_file(
+    runner, fixtures_dir, tmp_path, split_three_ways, bad_in
+):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_copies(fixtures_dir, 9, bad_in=bad_in), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    result = invoke(
+        runner, "tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", corpus, "--out", out_dir / "tagged.tsv",
+    )
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: {corpus}:") and result.stderr.count("\n") == 1
+    assert len(split_three_ways) == 2
+    assert list(out_dir.iterdir()) == []
+
+
+def test_an_interrupted_split_run_leaves_no_worker_and_no_file(
+    runner, fixtures_dir, tmp_path, monkeypatch, split_three_ways
+):
+    parent = os.getpid()
+
+    def interrupt(results):
+        # only the parent is interrupted; a worker renders its part
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return render_tokens(results)
+
+    render_tokens = cli.render_tokens
+    monkeypatch.setattr(cli, "render_tokens", interrupt)
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_copies(fixtures_dir, 9), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    result = invoke(
+        runner, "tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", corpus, "--out", out_dir / "tagged.tsv",
+    )
+    assert result.exit_code != 0
+    assert len(split_three_ways) == 2
+    assert list(out_dir.iterdir()) == []
+
+
+# a run that splits a corpus of any size among three CPUs, then writes to
+# the file named first how many workers it started and whether any is left
+_SPLIT_RUN = """
+import os, sys
+from homograph_tagger import _parts, cli
+cli.PART_BYTES = 1
+cli._usable_cpus = lambda: 3
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(None)
+    return fork()
+os.fork = counted_fork
+try:
+    cli.main(sys.argv[2:])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = "a child process"
+    except ChildProcessError:
+        left = "nothing"
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        fh.write(f"{len(forks)} workers, {left} left")
+"""
+
+
+def test_a_closed_stdout_pipe_ends_a_split_run_quietly(fixtures_dir, tmp_path):
+    temporary = tmp_path / "tmp"
+    temporary.mkdir()
+    corpus = tmp_path / "big.tsv"
+    corpus.write_text(_copies(fixtures_dir, 60), encoding="utf-8")
+    left = tmp_path / "left.txt"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-c", _SPLIT_RUN, str(left), "tag",
+            "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", str(corpus),
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "TMPDIR": str(temporary)},
+    )
+    try:
+        assert proc.stdout.readline() == f"{OUTPUT_HEADER}\n".encode()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert stderr == b""
+    assert left.read_text("utf-8") == "2 workers, nothing left"
+    assert list(temporary.iterdir()) == []
+
+
+def test_a_corpus_piped_to_dev_stdin_is_read_whole(fixtures_dir, tmp_path):
+    left = tmp_path / "left.txt"
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _SPLIT_RUN, str(left), "tag",
+            "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", "/dev/stdin",
+        ],
+        input=(fixtures_dir / "news_corpus.tsv").read_bytes(), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (fixtures_dir / "news_corpus_tagged.golden").read_bytes()
+    assert left.read_text("utf-8") == "0 workers, nothing left"
+
+
+@pytest.mark.parametrize(
+    "corpus_text, cpus, part_bytes",
+    [
+        ("bank\tNN\nstock\tVB\n" * 500, 3, 1),
+        ("bank\tNN\n\nstock\tVB\n\n" * 500, 3, 8000),
+        ("bank\tNN\n\nstock\tVB\n\n" * 500, 1, 1),
+    ],
+    ids=["one-document", "under-the-part-size", "one-cpu"],
+)
+def test_a_corpus_read_whole_starts_no_worker(
+    runner, fixtures_dir, tmp_path, monkeypatch, corpus_text, cpus, part_bytes
+):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(corpus_text, encoding="utf-8")
+    args = ["tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", corpus]
+    whole = invoke(runner, *args)
+    assert whole.exit_code == 0, whole.stderr
+
+    def no_fork():
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "PART_BYTES", part_bytes)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    result = invoke(runner, *args)
+    assert (result.exit_code, result.stdout, result.stderr) == (0, whole.stdout, whole.stderr)
+
+
+def _read_whole(runner, monkeypatch, args):
+    """The result of a run on one CPU, which reads the corpus whole."""
+    cpus = cli._usable_cpus
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    result = invoke(runner, *args)
+    monkeypatch.setattr(cli, "_usable_cpus", cpus)
+    return result
+
+
+def test_a_split_run_that_cannot_start_a_worker_reads_the_corpus_whole(
+    runner, fixtures_dir, tmp_path, monkeypatch, split_three_ways
+):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_copies(fixtures_dir, 9), encoding="utf-8")
+    args = ["tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", corpus]
+    whole = _read_whole(runner, monkeypatch, args)
+    fork = os.fork
+
+    def fork_once():
+        # the first worker starts, and is ended when the second cannot be
+        if split_three_ways:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    result = invoke(runner, *args)
+    assert len(split_three_ways) == 1
+    assert (result.exit_code, result.stdout, result.stderr) == (0, whole.stdout, whole.stderr)
+
+
+def test_every_part_is_read_from_the_file_opened_whatever_becomes_of_its_path(
+    runner, fixtures_dir, tmp_path, monkeypatch, split_three_ways
+):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_copies(fixtures_dir, 9), encoding="utf-8")
+    args = ["tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", corpus]
+    whole = _read_whole(runner, monkeypatch, args)
+    part_starts = _parts.part_starts
+
+    def then_replaced(*args):
+        starts = part_starts(*args)
+        other = tmp_path / "other.tsv"
+        other.write_text("bank\tNN\n", encoding="utf-8")
+        os.replace(other, corpus)
+        return starts
+
+    monkeypatch.setattr(_parts, "part_starts", then_replaced)
+    result = invoke(runner, *args)
+    assert len(split_three_ways) == 2
+    assert (result.exit_code, result.stdout, result.stderr) == (0, whole.stdout, whole.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import os
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from homograph_tagger import (
@@ -13,6 +16,8 @@ from homograph_tagger import (
     tag_corpus,
     tag_document,
 )
+from homograph_tagger import _parts
+from homograph_tagger._parts import line_ends
 from support import make_entry, make_lexicon, tag_lines, tok, write_corpus
 
 
@@ -292,3 +297,90 @@ def test_tagging_agrees_with_the_hand_assignment_rule(tmp_path, fixtures_dir, ne
     for got in tag_lines(tmp_path, news_lexicon, penn, *lines):
         status, hid = oracles.assign_by_hand(by_word[got.surface], got.coarse_tag)
         assert (got.status, got.homograph_id) == (status, hid)
+
+
+# ---------------------------------------------------------------------------
+# a corpus in parts
+
+_PIECES = [
+    b"tok\tNN", b"# doc: x", b"# note", b"#\tSYM", b"", b" \t", b"\xc2\xa0", b"\xff\tNN", b"\xef\xbb\xbfa\tNN",
+]
+
+
+def _document_ends(data, longest):
+    """Each offset just past a blank line that follows a token line, with that line's start.
+
+    Lines split as a reader's do; only blank lines at \\n\\n, \\n\\r\\n,
+    \\r\\n\\n and \\r\\n\\r\\n count, and only those whose line end
+    before the token line, token line and blank line span at most longest
+    bytes.
+    """
+    lines, at = [], 0
+    for line in data.splitlines(keepends=True):
+        lines.append((at, line))
+        at += len(line)
+    ends = []
+    for (start, line), (blank_at, blank) in zip(lines, lines[1:]):
+        text = line.rstrip(b"\r\n").decode("utf-8", "surrogateescape")
+        token = text and not text.isspace() and (text[0] != "#" or text[1:2] == "\t")
+        if token and line.endswith(b"\n") and blank in (b"\n", b"\r\n"):
+            if 1 + blank_at + len(blank) - start <= longest:
+                ends.append((start, blank_at + len(blank)))
+    return ends
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pieces=st.lists(
+        st.tuples(st.sampled_from(_PIECES), st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=16
+    ),
+    at=st.integers(min_value=0),
+    window=st.integers(min_value=6, max_value=40),
+)
+# a window that holds one whole line, whose line end is the one before the next line
+@example(pieces=[(b"tok\tNN", b"\n")] * 6 + [(b"#\tSYM", b"\n"), (b"", b"\n")], at=0, window=8)
+def test_a_part_starts_just_after_the_first_blank_line_that_follows_a_token_line(
+    tmp_path_factory, monkeypatch, pieces, at, window
+):
+    # a small window makes lines and blank lines straddle the windows searched
+    monkeypatch.setattr(_parts, "_SCAN_BYTES", window)
+    data = b"".join(piece + end for piece, end in pieces)
+    at = at % (len(data) + 1)
+    path = tmp_path_factory.mktemp("parts") / "corpus.tsv"
+    path.write_bytes(data)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        found = _parts._document_end(fd, at)
+        counted = line_ends(fd, at)
+    finally:
+        os.close(fd)
+    # a token line must start after the search does, with its line end before it searched too
+    after = [end for start, end in _document_ends(data, window) if start > at]
+    assert found == (after[0] if after else None)
+    assert counted == sum(line.endswith((b"\n", b"\r")) for line in data[:at].splitlines(True))
+
+
+def test_line_ends_counts_a_crlf_split_between_two_reads_once(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(b"a" * ((1 << 16) - 1) + b"\r\nb\rc\n")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        assert line_ends(fd, path.stat().st_size) == 3
+    finally:
+        os.close(fd)
+
+
+def test_parts_are_at_least_their_least_size_and_no_more_than_asked(tmp_path):
+    document = b"# doc: d\ntok\tNN\n\n"
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(document * 10)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = len(document) * 10
+        # aimed at 1/3 and 2/3 of the way, each part ends with the first document ending after its aim
+        assert _parts.part_starts(fd, size, 3, 1) == [0, 4 * len(document), 8 * len(document)]
+        # no part under the least size: the second starts past it, and a third would be too small
+        assert _parts.part_starts(fd, size, 3, 4 * len(document)) == [0, 5 * len(document)]
+        assert _parts.part_starts(fd, size, 1, 1) == [0]
+    finally:
+        os.close(fd)

@@ -1,14 +1,16 @@
 """Randomized invariants, each checked against an independent reference."""
 
 import json
+import os
 import re
 import tempfile
 from importlib.resources import files
+from unittest import mock
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,6 +28,7 @@ from homograph_tagger import (
     render_taxonomy,
     tag_document,
 )
+from homograph_tagger import cli
 from homograph_tagger.cli import main
 from homograph_tagger.util import pct_of
 from support import cache_files, make_entry, make_lexicon, refuse_full_load, tag_lines, tok
@@ -414,6 +417,74 @@ def check_commands_against_the_oracles(
     else:
         assert scored.exit_code == 1
         assert "no gold homograph annotations" in scored.stderr
+
+
+# ---------------------------------------------------------------------------
+# a corpus split among worker processes reads as a corpus read whole
+
+_TOKEN_LINES = [
+    "bank\tNN", "bank\tVB\t\t3", "Bank\tNNP", "stock\tJJ\tstock\t3", "firm\tNN\t\t1",
+    "rose\tVBD\trise\t1", "The\tDT", "zzq\tNN", "#\t#", "caf\u00e9\tNN",
+    # a U+FEFF that may start a later part, where it is data
+    "\ufeffbank\tNN",
+]
+# what opens a document, or a comment; what may follow its token lines
+_OPENERS = st.sampled_from([None, None, "# doc: a", "# doc: doc2", "# doc: doc3", "# a comment"])
+_CLOSERS = st.sampled_from([[""], [""], ["", ""], [" "], []])
+# documents, some declared and still empty where a blank line follows their header
+_CORPUS_LINES = st.lists(
+    st.tuples(_OPENERS, st.lists(st.sampled_from(_TOKEN_LINES), max_size=6), _CLOSERS), max_size=12
+).map(
+    lambda documents: [
+        line
+        for opener, tokens, closer in documents
+        for line in ([opener] if opener else []) + tokens + closer
+    ]
+)
+_BAD_LINES = [
+    b"bad line", b"caf\xe9\tNN", b"bank\tXYZ", b"bank\tNN\t\t9", b"# doc: ", b"bank\tNN\t\tx",
+]
+
+
+def _run(runner, args, out):
+    """Exit code, stdout, stderr and output file of one command, leaving no output file behind."""
+    result = runner.invoke(main, args)
+    written = out.read_bytes() if out.exists() else None
+    if written is not None:
+        out.unlink()
+    return result.exit_code, result.stdout_bytes, result.stderr_bytes, written
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    lines=_CORPUS_LINES,
+    bad=st.none() | st.tuples(st.sampled_from(_BAD_LINES), st.integers(min_value=0)),
+    line_end=st.sampled_from([b"\n", b"\r\n"]),
+    bom=st.booleans(),
+)
+def test_a_split_run_gives_what_a_serial_run_gives(
+    fixtures_dir, tmp_path, monkeypatch, lines, bad, line_end, bom
+):
+    """tag to stdout and to a file, and eval, split into parts of any size on three CPUs or read whole."""
+    encoded = [line.encode() for line in lines]
+    if bad is not None:
+        encoded.insert(bad[1] % (len(encoded) + 1), bad[0])
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(line + line_end for line in encoded))
+    out = tmp_path / "out.tsv"
+    base = ["--lexicon", str(fixtures_dir / "pipeline_lexicon.jsonl"), "--corpus", str(corpus)]
+    commands = [["tag", *base], ["tag", *base, "--out", str(out)], ["eval", *base]]
+    runner = CliRunner()
+    monkeypatch.setattr(cli, "PART_BYTES", 1)
+    outcomes = {}
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            outcomes[cpus] = [_run(runner, args, out) for args in commands]
+    event(f"workers per command: {fork.call_count / len(commands):.0f}")
+    assert outcomes[3] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
