@@ -24,25 +24,27 @@ taxonomy reads the second. Homographs are named tuples. An entry is a
 frozen dataclass whose by_tag is derived from its homographs when it is
 made, as a Lexicon's index is derived from its entries.
 
-The loader validates each record in one walk that also builds its
-homographs, inside `util.collector_paused`. A lexicon repeats a few
-values many times: the 50,000 word types of the benchmark's
-lexicon-large input hold 157,086 homographs, but only 172 distinct ones
-and 23,526 distinct homograph sequences. So one load keeps a table of
-each kind of value it has built (checked tag lists, homographs,
-homograph sequences with their tag tables, and the pairs in those
-tables) and builds each distinct value once. Entries of one loaded
-lexicon with equal homographs thus share one homographs tuple and one
-by_tag table; both are read-only. What the loaded lexicon costs a
-caller whose cyclic garbage collector is on is told in `load_lexicon`.
+A lexicon repeats a few values many times: the 50,000 word types of
+the benchmark's lexicon-large input hold 157,086 homographs, but only
+172 distinct ones and 23,526 distinct homograph sequences. So the
+loader parses a file into a compact form that lists each distinct
+value once: the distinct homographs as [pos, n_senses], the distinct
+homograph sequences as lists of indexes into those, and each entry's
+key and the index of its sequence. It checks each record in one walk
+that also lists its values, keeping a table of the tag lists it has
+checked, the homographs and the sequences it has listed. One builder,
+`_lexicon_from_form`, makes every loaded lexicon from that form, inside
+`util.collector_paused`, building each distinct value once: entries of
+one loaded lexicon with equal homographs share one homographs tuple and
+one by_tag table, both read-only, and the tag tables share their pairs.
+What the loaded lexicon costs a caller whose cyclic garbage collector
+is on is told in `load_lexicon`.
 
-A lexicon loaded once is kept in an on-disk cache under a SHA-256
-digest of its bytes, so a later load of the same file rebuilds it from
-a compact JSON form with the same sharing, without decoding the
-lexicon's JSON again: the form lists each distinct homograph sequence
-once, and the rebuild makes its tuple and tag table once, straight
-from its list of indexes. `load_lexicon` tells where the cache lives
-and what it costs.
+The form is also what an on-disk cache keeps, under a SHA-256 digest
+of the lexicon's bytes, so a later load of the same file reads the
+form back instead of decoding the lexicon's JSON again, and the same
+builder makes the lexicon from it. `load_lexicon` tells where the cache
+lives and what it costs.
 
 `classify_word_type` returns the category's report name:
 "monohomographic", "guaranteed", "possible" or "no-disambiguation".
@@ -236,29 +238,31 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     offending line number in the message, and a file with no word types
     as `PATH: lexicon is empty (no word types)`.
 
-    Each distinct homograph, homograph sequence and tag table is built
-    once per call and shared by every entry that has it, so entries with
-    equal homographs share one homographs tuple and one by_tag table,
-    and `analyze_lexicon` classifies each shared sequence once.
+    Every load builds its lexicon one way: the file, or the cache file
+    that holds it, gives a compact form (the distinct homographs, the
+    distinct homograph sequences as lists of indexes, and each entry's
+    key and sequence index), and `_lexicon_from_form` builds the lexicon
+    from that form. Each distinct homograph, homograph sequence and tag
+    table is built once per call and shared by every entry that has it,
+    so entries with equal homographs share one homographs tuple and one
+    by_tag table, and `analyze_lexicon` classifies each shared sequence
+    once.
 
     A lexicon loaded from a regular file is cached, so that the next
     load of the same bytes need not decode its JSON again. After a
-    successful full load, its compact form (the distinct homographs, the
-    distinct homograph sequences as lists of indexes, and each entry's
-    key and sequence index) is written to
+    successful full load, the form it parsed is written to
     `$XDG_CACHE_HOME/homograph-tagger/`, or `~/.cache/homograph-tagger/`
     when that variable is unset. The file is named by the SHA-256
     digest of the lexicon bytes, the vocabulary, the Python version and
     the package's own .py sources, so an edited lexicon, another
     vocabulary, interpreter or version of the code is a miss. A later
-    load of the same bytes hashes the file in chunks, checks the cached
-    form and rebuilds an equal lexicon with the same sharing, making
-    each homograph sequence's tuple and tag table once and decoding no
-    definition: on the benchmark's 50,000-type lexicon-large input
-    (37 MB), about 0.2 s instead of about 0.9 s. The first, cold load of a
-    file costs more than a load without the cache, since it hashes the
-    file before it parses it and then builds and writes the form: about
-    0.2-0.27 s more on lexicon-large, a fifth to a quarter of its load.
+    load of the same bytes hashes the file in chunks, reads and checks
+    the cached form and builds an equal lexicon with the same sharing,
+    decoding no definition: on the benchmark's 50,000-type lexicon-large
+    input (37 MB), about 0.2 s instead of about 0.7-0.9 s. The first,
+    cold load of a file costs more than a load without the cache, since
+    it hashes the file before it parses it and then writes the form:
+    about 0.1 s more on lexicon-large, a tenth of its load.
     A file whose size, times or identity changed during the load is not
     cached, since the bytes parsed may not be the bytes hashed. A cache
     file that cannot be read or does not check out is a miss and is
@@ -266,8 +270,8 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     The directory keeps at most `CACHE_FILES` files, temporary ones
     included, and deleting it is always safe. A load that cannot make or write the directory, and a
     load of a file that is not regular, such as `/dev/stdin` or a pipe
-    from `<(...)`, use no cache: the file is read once, as it always
-    was, with nothing hashed and nothing written.
+    from `<(...)`, use no cache: the file is read once and never sought,
+    with nothing hashed and nothing written.
 
     The load runs inside `util.collector_paused`, since each collection
     during it would rescan the growing lexicon. Keeping the loaded
@@ -290,24 +294,28 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
             before = os.fstat(raw.fileno())
             directory = _cache_directory() if stat.S_ISREG(before.st_mode) else None
             name = None if directory is None else _cache_name(raw, vocab)
-            if name is None:
-                return _read_lexicon(raw, path, vocab)
-            lexicon = _lexicon_from_form(_read_form(directory, name), vocab)
-            if lexicon is None:
+            if name is not None:
+                lexicon = _lexicon_from_form(_read_form(directory, name), vocab)
+                if lexicon is not None:
+                    return lexicon
+                # only a file that was hashed was read, and only a regular file can seek
                 raw.seek(0)
-                lexicon = _read_lexicon(raw, path, vocab)
-                # the name is a digest of the bytes hashed, which the bytes parsed from a
-                # file changed or replaced since may not be
-                if _unchanged(path, before):
-                    _write_form(directory, name, _form(lexicon))
-            return lexicon
+            form = _read_lexicon(raw, path, vocab)
+            # the name is a digest of the bytes hashed, which the bytes parsed from a
+            # file changed or replaced since may not be; the form is written before the
+            # build, which takes its parts out of it
+            if name is not None and _unchanged(path, before):
+                _write_form(directory, name, form)
+            return _lexicon_from_form(form, vocab)
 
 
-def _read_lexicon(raw: RawIOBase, path: str | Path, vocab: tuple[str, ...]) -> Lexicon:
-    """Decode, check and build every record of the JSON Lines lexicon raw holds."""
+def _read_lexicon(raw: RawIOBase, path: str | Path, vocab: tuple[str, ...]) -> dict[str, list]:
+    """Decode and check every record of the JSON Lines lexicon raw holds; return its compact form."""
     source = str(path)
-    entry_from_record = _entry_reader(frozenset(vocab), source)
-    entries: list[WordTypeEntry] = []
+    homographs: list[list] = []
+    sequences: list[list[int]] = []
+    read_record = _entry_reader(frozenset(vocab), source, homographs, sequences)
+    sequence_of: list[int] = []
     first_line: dict[str, int] = {}
     with decoded_lines(raw) as lines:
         for lineno, text in lines:
@@ -324,38 +332,41 @@ def _read_lexicon(raw: RawIOBase, path: str | Path, vocab: tuple[str, ...]) -> L
             except ValueError:
                 # json's one other ValueError: more digits than int() converts
                 raise LexiconError(f"{source}:{lineno}: invalid JSON: integer too long") from None
-            entry = entry_from_record(record, lineno)
-            if entry.key in first_line:
+            key, index = read_record(record, lineno)
+            if key in first_line:
                 raise LexiconError(
-                    f"{source}:{lineno}: duplicate word type key {entry.key!r}"
-                    f" (first defined on line {first_line[entry.key]})"
+                    f"{source}:{lineno}: duplicate word type key {key!r}"
+                    f" (first defined on line {first_line[key]})"
                 )
-            first_line[entry.key] = lineno
-            entries.append(entry)
-    if not entries:
+            first_line[key] = lineno
+            sequence_of.append(index)
+    if not first_line:
         raise LexiconError(f"{source}: lexicon is empty (no word types)")
-    return Lexicon(vocabulary=vocab, entries=tuple(entries))
+    keys = list(first_line)
+    return {"homographs": homographs, "sequences": sequences, "keys": keys, "sequence_of": sequence_of}
 
 
-def _entry_reader(vocab: frozenset[str], source: str) -> Callable[[object, int], WordTypeEntry]:
-    """The function that checks one decoded record and builds its entry, for one load.
+def _entry_reader(
+    vocab: frozenset[str], source: str, homographs: list[list], sequences: list[list[int]]
+) -> Callable[[object, int], tuple[str, int]]:
+    """The function that checks one decoded record and lists its values in the form, for one load.
 
-    It keeps one table per kind of value it builds, for as long as the
-    load keeps it, so each distinct value is built once and shared:
-    each tag list that has passed the checks, with the Homographs that
-    carry it by sense count; each homograph sequence with its tag table;
-    and, in `_Pairs`, each pair in those tables. Kinds never share a
-    table: the tag list [1, 2] equals the pair (1, 2), and would pass as
-    already checked.
+    It returns the record's key and the index of its sequence. It appends
+    each distinct homograph to homographs, as [pos, n_senses], and each
+    distinct sequence of their indexes to sequences. It keeps a
+    table of each kind of value for as long as the load keeps it, so each
+    is listed once: each tag list that has passed the checks, with the
+    indexes of its homographs by sense count, and each sequence with its
+    index. Kinds never share a table: the tag list [1, 2] equals the
+    sequence (1, 2), and would pass as already checked.
     """
-    checked: dict[tuple[str, ...], tuple[tuple[str, ...], dict[int, Homograph]]] = {}
-    sequences: dict[tuple[Homograph, ...], tuple[tuple[Homograph, ...], dict]] = {}
-    pairs = _Pairs()
+    checked: dict[tuple[str, ...], dict[int, int]] = {}
+    sequence_index: dict[tuple[int, ...], int] = {}
 
-    def entry_from_record(record, lineno: int) -> WordTypeEntry:
-        """Check one decoded record and build its entry, in one walk.
+    def read_record(record, lineno: int) -> tuple[str, int]:
+        """Check one decoded record and list its values, in one walk.
 
-        Each homograph is checked and built before the next one is read;
+        Each homograph is checked and listed before the next one is read;
         the first failed check raises. A tag list already checked in this
         load is not checked again; senses are checked one by one. Decoded
         JSON holds exact dicts, lists and strs, so `type(x) is` tests
@@ -371,7 +382,7 @@ def _entry_reader(vocab: frozenset[str], source: str) -> Callable[[object, int],
             raise LexiconError(
                 f"{source}:{lineno}: {word!r}: 'homographs' must be a non-empty list"
             )
-        homographs = []
+        indexes = []
         for position, raw in enumerate(raw_homographs, start=1):
             if type(raw) is not dict:
                 raise LexiconError(
@@ -402,8 +413,7 @@ def _entry_reader(vocab: frozenset[str], source: str) -> Callable[[object, int],
                         raise _homograph_error(
                             source, lineno, word, position, f"duplicate pos tag {tag!r}"
                         )
-                known = checked[tags] = (tags, {})
-            tags, by_senses = known
+                known = checked[tags] = {}
             raw_senses = raw.get("senses")
             if type(raw_senses) is not list or not raw_senses:
                 raise _homograph_error(
@@ -416,17 +426,19 @@ def _entry_reader(vocab: frozenset[str], source: str) -> Callable[[object, int],
                         f"sense {index} must be an object with a string 'def'",
                     )
             n_senses = len(raw_senses)
-            homograph = by_senses.get(n_senses)
-            if homograph is None:
-                homograph = by_senses[n_senses] = Homograph(tags, n_senses)
-            homographs.append(homograph)
-        sequence = tuple(homographs)
-        known = sequences.get(sequence)
-        if known is None:
-            known = sequences[sequence] = (sequence, _tag_table(sequence, pairs))
-        return WordTypeEntry._shared(normalize_key(word), *known)
+            index = known.get(n_senses)
+            if index is None:
+                index = known[n_senses] = len(homographs)
+                homographs.append([pos, n_senses])
+            indexes.append(index)
+        sequence = tuple(indexes)
+        index = sequence_index.get(sequence)
+        if index is None:
+            index = sequence_index[sequence] = len(sequences)
+            sequences.append(indexes)
+        return normalize_key(word), index
 
-    return entry_from_record
+    return read_record
 
 
 def _homograph_error(
@@ -436,50 +448,19 @@ def _homograph_error(
 
 
 # ---------------------------------------------------------------------------
-# the cached form
-
-
-def _form(lexicon: Lexicon) -> dict[str, list]:
-    """The compact JSON form of a loaded lexicon, which `_lexicon_from_form` rebuilds.
-
-    It holds the distinct homographs as [pos, n_senses], the distinct
-    homograph sequences as lists of indexes into those, and each entry's
-    key and the index of its sequence, in entry order. Values are told
-    apart by identity, which is cheaper than by value: a loaded lexicon
-    shares each distinct value, so each is listed once, and the rebuild
-    shares each listed sequence by its index without comparing it with
-    any other.
-    """
-    homographs: list[list] = []
-    sequences: list[list[int]] = []
-    sequence_of: list[int] = []
-    homograph_index: dict[int, int] = {}
-    sequence_index: dict[int, int] = {}
-    for entry in lexicon.entries:
-        index = sequence_index.get(id(entry.homographs))
-        if index is None:
-            index = sequence_index[id(entry.homographs)] = len(sequences)
-            sequence = []
-            for homograph in entry.homographs:
-                position = homograph_index.get(id(homograph))
-                if position is None:
-                    position = homograph_index[id(homograph)] = len(homographs)
-                    homographs.append([list(homograph.pos), homograph.n_senses])
-                sequence.append(position)
-            sequences.append(sequence)
-        sequence_of.append(index)
-    keys = [entry.key for entry in lexicon.entries]
-    return {"homographs": homographs, "sequences": sequences, "keys": keys, "sequence_of": sequence_of}
+# the compact form
 
 
 def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
-    """The lexicon a `_form` describes, built with the sharing of a full load; None if it is not one.
+    """The lexicon form describes, each listed value built once and shared; None if it describes none.
 
-    Every value is checked as the loader would check it, so a form that
-    is malformed, names a tag outside vocab, points past its lists, has
-    no entries, or repeats a key or holds one not normalized gives None,
-    never a wrong lexicon. The parts are taken out of form and each is
-    dropped once used, so that a hit peaks lower than a full load.
+    The one builder of a loaded lexicon, from what `_read_lexicon` parsed
+    or a cache file holds. Every value is checked as the loader checks
+    it, so a form that is malformed, names a tag outside vocab, points
+    past its lists, has no entries, or repeats a key or holds one not
+    normalized gives None, never a wrong lexicon; a parsed form passes
+    by construction. The parts are taken out of form and each is dropped
+    once used, so that the build reuses the memory it frees.
     """
     if type(form) is not dict:
         return None
@@ -491,7 +472,6 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
         return None
     known = frozenset(vocab)
     tag_lists: dict[tuple[str, ...], tuple[str, ...]] = {}
-    distinct: dict[Homograph, Homograph] = {}
     homographs = []
     for item in raw_homographs:
         if type(item) is not list or len(item) != 2:
@@ -502,9 +482,7 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
         if not all(type(tag) is str and tag in known for tag in pos) or len(set(pos)) != len(pos):
             return None
         tags = tuple(pos)
-        tags = tag_lists.setdefault(tags, tags)
-        homograph = Homograph(tags, n_senses)
-        homographs.append(distinct.setdefault(homograph, homograph))
+        homographs.append(Homograph(tag_lists.setdefault(tags, tags), n_senses))
     # checked a whole list at a time: these lists hold one item per word type
     if not all(type(item) is list and item for item in raw_sequences):
         return None

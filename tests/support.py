@@ -1,5 +1,7 @@
 """Small builders shared by the test modules."""
 
+import pytest
+
 from homograph_tagger import (
     Homograph,
     Lexicon,
@@ -57,11 +59,31 @@ def cache_files(directory):
     return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
 
 
+def identity_partition(values):
+    """The positions of values grouped by the object at each, as a set of groups."""
+    groups = {}
+    for position, value in enumerate(values):
+        groups.setdefault(id(value), []).append(position)
+    return {tuple(group) for group in groups.values()}
+
+
 def refuse_full_load(*args):
     raise AssertionError("a full load ran where the cache should have answered")
 
 
-def warm_up(path, monkeypatch):
-    """Load path once, so that its next load is a cache hit, and make any later full load fail."""
-    load_lexicon(path)
-    monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
+def load_each_way(path, load=load_lexicon):
+    """load(path) on each of the three load paths, keyed by 'cold', 'hit' and 'uncached'.
+
+    The current lexicon cache must not hold path yet, so that the first
+    load is a full load that writes it. The hit refuses a full load. The
+    uncached load runs with XDG_CACHE_HOME naming path itself, a regular
+    file, under which no cache directory can be made.
+    """
+    results = {"cold": load(path)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
+        results["hit"] = load(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(path))
+        results["uncached"] = load(path)
+    return results

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from homograph_tagger import LexiconError, load_lexicon
 from homograph_tagger.cli import main
 from homograph_tagger.lexicon import _code_stamp, _entry_reader, _read_lexicon
-from support import cache_files, refuse_full_load
+from support import cache_files, identity_partition, refuse_full_load
 
 SUMMARY = "tagged 209 tokens in 5 documents: 107 matched, 3 fallback, 7 unknown, 92 closed-class\n"
 
@@ -69,14 +69,6 @@ def test_a_second_load_is_a_cache_hit_equal_to_the_full_load(cold_cache, lexicon
     warm = load_lexicon(lexicon_path)
     assert warm == cold and warm.vocabulary == cold.vocabulary
     assert [entry.by_tag for entry in warm] == [entry.by_tag for entry in cold]
-
-
-def identity_partition(values):
-    """The positions of values grouped by the object at each, as a set of groups."""
-    groups = {}
-    for position, value in enumerate(values):
-        groups.setdefault(id(value), []).append(position)
-    return {tuple(group) for group in groups.values()}
 
 
 def test_a_hit_shares_values_exactly_as_the_full_load_does(
@@ -221,7 +213,7 @@ def test_a_lexicon_that_cannot_be_read_fails_as_without_a_cache(
 
 
 def refuse_cache_work(*args):
-    raise AssertionError("a load that cannot write the cache hashed its file or built its form")
+    raise AssertionError("a load that cannot write the cache hashed its file, or read or wrote a cache file")
 
 
 @pytest.mark.parametrize(
@@ -240,8 +232,8 @@ def test_an_unwritable_cache_changes_no_result(
         monkeypatch.setenv("XDG_CACHE_HOME", str(lexicon_path))
     # root may write into a read-only directory; a file in the way stops everyone
     if blocked != "read-only-directory" or os.geteuid() != 0:
-        monkeypatch.setattr("homograph_tagger.lexicon._cache_name", refuse_cache_work)
-        monkeypatch.setattr("homograph_tagger.lexicon._form", refuse_cache_work)
+        for work in ("_cache_name", "_read_form", "_write_form"):
+            monkeypatch.setattr(f"homograph_tagger.lexicon.{work}", refuse_cache_work)
     golden = (fixtures_dir / "news_corpus_tagged.golden").read_bytes()
     try:
         for run in range(2):

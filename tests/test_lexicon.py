@@ -20,7 +20,7 @@ from homograph_tagger import (
     render_taxonomy,
 )
 from homograph_tagger.util import pct_of
-from support import make_entry, make_lexicon, refuse_full_load, tag_lines, warm_up
+from support import load_each_way, make_entry, make_lexicon, tag_lines
 
 
 def write_jsonl(path, records):
@@ -147,26 +147,25 @@ def test_load_lexicon_rejects_malformed_records(tmp_path, record, message):
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(LexiconError, match=message) as alone:
         load_lexicon(path)
-    # the same record after a valid one that has already checked and built
-    # the tag list ["n"], its homographs and the tag table pairs (1, 2) and (3, 1)
+    # the same record after a valid one that has already checked and listed
+    # the tag lists ["n"] and ["v"], its homographs and its sequence of indexes (0, 0, 1)
     write_jsonl(path, [FILLER, record])
     with pytest.raises(LexiconError) as after_filler:
         load_lexicon(path)
     assert str(after_filler.value) == str(alone.value).replace("lex.jsonl:1:", "lex.jsonl:2:")
 
 
-@pytest.mark.parametrize("pos", [[1, 2], [["n"]], [3, 1], ["n", ["v"]]])
+@pytest.mark.parametrize("pos", [[1, 2], [["n"]], [3, 1], ["n", ["v"]], [0, 0, 1]])
 def test_a_tag_list_equal_to_a_built_pair_is_still_checked(tmp_path, pos):
-    # [1, 2] equals the by_tag pair (1, 2), but tag lists and pairs are kept apart
+    # a list of ints is no tag list, whatever equal tuple a load has built or listed before:
+    # [1, 2] equals a by_tag pair, and [0, 0, 1] the filler's sequence of homograph indexes
     path = tmp_path / "lex.jsonl"
     write_jsonl(path, [FILLER, {"word": "w", "homographs": [{"pos": pos, "senses": [{"def": "d"}]}]}])
     with pytest.raises(LexiconError, match=r"lex\.jsonl:2: 'w': homograph 1: pos tags must be strings$"):
         load_lexicon(path)
 
 
-def test_entries_with_equal_homographs_share_them_and_their_tag_table(
-    tmp_path, cold_cache, monkeypatch
-):
+def test_entries_with_equal_homographs_share_them_and_their_tag_table(tmp_path, cold_cache):
     path = tmp_path / "lex.jsonl"
     senses = [{"def": "a"}, {"def": "b"}]
     write_jsonl(path, [
@@ -176,10 +175,8 @@ def test_entries_with_equal_homographs_share_them_and_their_tag_table(
         {"word": "row", "homographs": [{"pos": ["v"], "senses": senses[:1]}, {"pos": ["n"], "senses": senses}]},
         {"word": "mole", "homographs": [{"pos": ["n"], "senses": senses[1:]}]},
     ])
-    # the full load on a cold cache, then a cache hit, which must rebuild the same sharing
-    cold = load_lexicon(path)
-    warm_up(path, monkeypatch)
-    for lexicon in (cold, load_lexicon(path)):
+    # a hit must rebuild the sharing of the cold load, and a load with no usable cache make it
+    for lexicon in load_each_way(path).values():
         bank, fish, sofa, row, mole = lexicon
         assert bank.homographs is fish.homographs
         assert bank.by_tag is fish.by_tag
@@ -199,7 +196,7 @@ def test_entries_with_equal_homographs_share_them_and_their_tag_table(
         assert made.by_tag == bank.by_tag and made.by_tag is not bank.by_tag
 
 
-def test_a_load_tracks_about_one_object_per_word_type(tmp_path, cold_cache, monkeypatch):
+def test_a_load_tracks_about_one_object_per_word_type(tmp_path, cold_cache):
     # 3,000 word types over 12 distinct homograph sequences: a load that made
     # each entry's homographs, tags and tag table anew would track about nine objects per type
     path = tmp_path / "lex.jsonl"
@@ -218,22 +215,23 @@ def test_a_load_tracks_about_one_object_per_word_type(tmp_path, cold_cache, monk
         {"word": f"w{i}", "homographs": sequences[i % len(sequences)]} for i in range(n_types)
     ])
     default_vocabulary()
-    # the full load on a cold cache, then a cache hit
-    for cache in ("cold", "warm"):
+
+    def tracked(path):
+        """The word types of path and the objects its load left tracked, the lexicon's own included."""
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             before = len(gc.get_objects())
             lexicon = load_lexicon(path)
-            added = len(gc.get_objects()) - before
+            return len(lexicon), len(gc.get_objects()) - before
         finally:
             if was_enabled:
                 gc.enable()
-        assert len(lexicon) == n_types
+
+    for cache, (word_types, added) in load_each_way(path, tracked).items():
+        assert word_types == n_types
         # the entries, plus a few hundred for the distinct values and the lexicon itself
         assert added <= n_types + 300, (cache, added)
-        del lexicon
-        monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
 
 
 def test_load_lexicon_reports_the_offending_line(tmp_path):

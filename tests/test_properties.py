@@ -31,7 +31,15 @@ from homograph_tagger import (
 from homograph_tagger import cli
 from homograph_tagger.cli import main
 from homograph_tagger.util import pct_of
-from support import cache_files, make_entry, make_lexicon, refuse_full_load, tag_lines, tok
+from support import (
+    cache_files,
+    identity_partition,
+    load_each_way,
+    make_entry,
+    make_lexicon,
+    tag_lines,
+    tok,
+)
 
 VOCAB = default_vocabulary()
 OPEN = ("n", "v", "adj", "adv")
@@ -39,6 +47,9 @@ OPEN = ("n", "v", "adj", "adv")
 pos_group = st.frozensets(st.sampled_from(VOCAB), min_size=1, max_size=3)
 pos_groups = st.lists(pos_group, min_size=1, max_size=6)
 entry_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyzé-", min_size=1, max_size=10)
+# with letters that lowercasing changes, one of them into two code points (İ) and one by its
+# place in the word (Σ)
+cased_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyzé-AÉİΣẞ", min_size=1, max_size=10)
 
 
 def entry_from_groups(word, groups, senses=None):
@@ -46,9 +57,12 @@ def entry_from_groups(word, groups, senses=None):
 
 
 @st.composite
-def lexicon_entries(draw, min_size=1, max_size=12):
-    """Entries made by hand; a word may be given the very homographs tuple of an earlier one."""
-    words = draw(st.lists(entry_words, min_size=min_size, max_size=max_size, unique=True))
+def lexicon_entries(draw, min_size=1, max_size=12, words=entry_words):
+    """Entries made by hand; a word may be given the very homographs tuple of an earlier one.
+
+    Their words are unique after lowercasing, so that they load as distinct word types.
+    """
+    words = draw(st.lists(words, min_size=min_size, max_size=max_size, unique_by=str.lower))
     entries = []
     for word in words:
         if entries and draw(st.booleans()):
@@ -78,6 +92,18 @@ def write_records(path, records):
     """Write records to path as a JSON Lines lexicon."""
     lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in records]
     path.write_text("".join(lines), encoding="utf-8")
+
+
+def loaded_each_way(tmp_path, entries):
+    """entries written as a lexicon and loaded on each load path, with a cache of their own."""
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = directory / "entries.jsonl"
+    write_records(path, as_records(entries))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(directory))
+        loads = load_each_way(path)
+        assert len(cache_files(directory / "homograph-tagger")) == 1
+    return loads
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +156,9 @@ def test_analysis_matches_the_recount_oracle(tmp_path, entries):
     assert report.polysemous_pct == recount["polysemous_pct"]
     assert report.collision_histogram == recount["collision_histogram"]
     # loaded, entries with equal homographs share them, and the analysis counts each
-    # shared tuple once: the same report after a full load and after a cache hit
-    directory = Path(tempfile.mkdtemp(dir=tmp_path))
-    path = directory / "entries.jsonl"
-    write_records(path, as_records(entries))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("XDG_CACHE_HOME", str(directory))
-        full = load_lexicon(path)
-        assert len(cache_files(directory / "homograph-tagger")) == 1
-        patch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
-        hit = load_lexicon(path)
-    assert analyze_lexicon(full) == analyze_lexicon(hit) == report
+    # shared tuple once: the same report on every load path
+    for lexicon in loaded_each_way(tmp_path, entries).values():
+        assert analyze_lexicon(lexicon) == report
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +166,18 @@ def test_analysis_matches_the_recount_oracle(tmp_path, entries):
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lexicon_entries())
+@given(lexicon_entries(words=cased_words))
 def test_records_load_back_to_their_entries(tmp_path, entries):
-    path = tmp_path / "entries.jsonl"
-    write_records(path, as_records(entries))
-    assert load_lexicon(path) == make_lexicon(*entries)
+    loads = loaded_each_way(tmp_path, entries)
+    normalized = make_lexicon(*[WordTypeEntry(e.key.lower(), e.homographs) for e in entries])
+    # every path builds an equal lexicon, its keys passing the builder's check, with the same sharing
+    for lexicon in loads.values():
+        assert lexicon == normalized
+    for part in ("homographs", "by_tag"):
+        cold, hit, uncached = (
+            identity_partition([getattr(entry, part) for entry in lexicon]) for lexicon in loads.values()
+        )
+        assert cold == hit == uncached
 
 
 tag_list = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3, unique=True)
