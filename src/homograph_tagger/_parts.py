@@ -37,13 +37,11 @@ from .errors import CorpusError, TaggerDataError
 from .lexicon import Lexicon
 from .pipeline import Document, _documents, _new_id, _Namer, _tagging_rule
 from .tagmap import TagMapping
-from .util import decoded_lines
+from .util import decoded_lines, same_file
 
 # what a command does with the documents of one part: work(documents,
 # write) writes any text through write and returns what the command sums
 Work = Callable[[Iterator[Document], Callable[[str], Any]], Any]
-# the stat fields that tell one file, unchanged, from another
-_SAME = ("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 @contextmanager
@@ -84,7 +82,7 @@ def corpus_parts(
     try:
         opened = os.fstat(fd)
         starts = [0]
-        if [getattr(opened, f) for f in _SAME] == [getattr(before, f) for f in _SAME]:
+        if same_file(before, opened):
             starts = part_starts(fd, opened.st_size, parts, least)
         part = partial(tag_part, lexicon, mapping, corpus_path, fd, **options)
         if len(starts) > 1 and _started(workers, part, starts, work):
@@ -161,28 +159,21 @@ def _run_part(documents_of: Callable, work: Work, spool: IO[bytes], sink: int) -
     """A worker's work: run work on its part, spool what it writes and send its result to sink.
 
     The result is JSON: where each document starts (line, declared id or
-    None, and spool offset), what work returned, and the data or I/O
-    error that ended the part, as (whether a data error, message), or None.
+    None, and the spool's offset, its tell), what work returned, and the data
+    or I/O error that ended the part, as (whether a data error, message), or None.
     """
     starts: list[tuple[int, str | None, int]] = []
-    written = 0
     with open(spool.fileno(), "wb", closefd=False) as out:
-
-        def write(text: str) -> None:
-            nonlocal written
-            data = text.encode("utf-8")
-            out.write(data)
-            written += len(data)
 
         def name(declared: str | None, lineno: int) -> str:
             # the documents before this one are written by now; the parent
             # names the document, after those of the parts before this one
-            starts.append((lineno, declared, written))
+            starts.append((lineno, declared, out.tell()))
             return declared or ""
 
         result = error = None
         try:
-            result = work(documents_of(name), write)
+            result = work(documents_of(name), lambda text: out.write(text.encode("utf-8")))
         except TaggerDataError as exc:
             error = (True, str(exc))
         except OSError as exc:

@@ -55,11 +55,10 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, tee
-from operator import attrgetter, itemgetter
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 import click
@@ -82,8 +81,6 @@ EXIT_USAGE_ERROR = 2
 # the fewest corpus bytes in each part of a split run (see `_corpus_parts`):
 # on parts of 64 KiB a second process just paid for itself, on 256 KiB clearly
 PART_BYTES = 1 << 18
-_record_of = itemgetter(2)
-_gold_of = attrgetter("gold_homograph_id")
 
 
 class _Main(click.Group):
@@ -162,7 +159,9 @@ def _output(path: str | None) -> Iterator[TextIO]:
             yield fh
         os.replace(temporary, target)
     except BaseException:
-        os.unlink(temporary)
+        # the temporary file may be gone already; the block's own error is the one to report
+        with suppress(FileNotFoundError):
+            os.unlink(temporary)
         raise
 
 
@@ -381,21 +380,18 @@ def eval_command(
 def _scored(lexicon, documents: Iterable[Document], write=None) -> tuple[dict, bool, int, int]:
     """The report on documents as a dict, whether a token has a gold id, the documents and tokens.
 
-    write is not used: scoring writes nothing until the whole corpus is scored.
+    Each document is scored against the gold ids its own tokens carry, as
+    it is read, and its report added to the sum so far. write is not
+    used: scoring writes nothing until the whole corpus is scored.
     """
+    report = _summed(())
     annotated = False
     n_documents = n_tokens = 0
-
-    def tokens():
-        nonlocal annotated, n_documents, n_tokens
-        for document in documents:
-            # a gold id is at least 1, so a token is annotated when its gold id is true
-            annotated = annotated or any(map(_gold_of, map(_record_of, document.tokens)))
-            n_documents += 1
-            n_tokens += len(document.tokens)
-            yield from document.tokens
-
-    # evaluate takes the two in step, so tee holds at most one token
-    scored, aligned = tee(tokens())
-    report = evaluate(lexicon, scored, map(_gold_of, map(_record_of, aligned)))
+    for document in documents:
+        gold = [record.gold_homograph_id for _, _, record in document.tokens]
+        report = _summed((report, evaluate(lexicon, document.tokens, gold)))
+        # a gold id is at least 1, so a token is annotated when its gold id is true
+        annotated = annotated or any(gold)
+        n_documents += 1
+        n_tokens += len(gold)
     return asdict(report), annotated, n_documents, n_tokens

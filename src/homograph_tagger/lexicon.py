@@ -65,7 +65,6 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from importlib.resources import files
 from io import RawIOBase
 from itertools import chain
 from operator import attrgetter
@@ -73,7 +72,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
-from .util import check_utf8, collector_paused, decoded_lines, fmt_pct, numbered_lines, pct_of
+from .util import (
+    PACKAGE, check_utf8, collector_paused, decoded_lines, fmt_pct, numbered_lines, pct_of, same_file
+)
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -94,9 +95,8 @@ def normalize_key(surface: str) -> str:
 
 @cache
 def default_vocabulary() -> tuple[str, ...]:
-    """The 17-tag coarse category vocabulary shipped with the package."""
-    path = files("homograph_tagger") / "data/coarse_tags.txt"
-    with numbered_lines(path) as lines:
+    """The 17-tag coarse category vocabulary shipped with the package, read from its data/."""
+    with numbered_lines(PACKAGE / "data" / "coarse_tags.txt") as lines:
         return _parse_vocabulary(lines, "<default vocabulary>")
 
 
@@ -528,7 +528,6 @@ CACHE_FILES = 16
 # that the allocator reuses one buffer, where 1 MiB chunks raised a CLI child's peak
 # resident memory by about 1 MB
 _HASH_CHUNK = 1 << 16
-_FILE_STATE = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
 
 def _cache_directory() -> str | None:
@@ -557,8 +556,9 @@ def _cache_directory() -> str | None:
 def _code_stamp():
     """A SHA-256 hash of the Python version and the package's .py sources; None when they cannot be read.
 
-    A package installed without its sources has none to read, and so
-    caches nothing. The hash is left open for `_cache_name` to copy.
+    The sources are the .py files in `util.PACKAGE`; a package installed
+    without them has none to read, and so caches nothing. The hash is
+    left open for `_cache_name` to copy.
     """
     # hashlib loads OpenSSL (about 4 ms and 3.4 MB of resident library pages), whose
     # SHA-256 hashed lexicon-large's 37 MB in 0.04 s against BLAKE2b's 0.07 s on a
@@ -566,7 +566,7 @@ def _code_stamp():
     from hashlib import sha256
 
     stamp = sha256(sys.version.encode())
-    sources = sorted(Path(__file__).parent.glob("*.py"))
+    sources = sorted(PACKAGE.glob("*.py"))
     try:
         for source in sources:
             text = source.read_bytes()
@@ -595,16 +595,11 @@ def _cache_name(raw: RawIOBase, vocab: tuple[str, ...]) -> str | None:
 
 
 def _unchanged(path: str | Path, before: os.stat_result) -> bool:
-    """Whether path still names the file whose status was before, with no write to it since.
-
-    Every write changes a file's size or its modification and
-    status-change times, and no caller can set the latter back.
-    """
+    """Whether path still names the file whose status was before, with no write to it since."""
     try:
-        after = os.stat(path)
+        return same_file(before, os.stat(path))
     except OSError:
         return False
-    return _FILE_STATE(after) == _FILE_STATE(before)
 
 
 def _read_form(directory: str, name: str) -> object:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from importlib.resources import files
 from pathlib import Path
 from typing import Iterable
 
 from .errors import TagMapError
 from .lexicon import default_vocabulary
-from .util import check_utf8, numbered_lines
+from .util import PACKAGE, check_utf8, numbered_lines
 
 DEFAULT_OPEN_CLASS = frozenset({"n", "v", "adj", "adv"})
 
@@ -51,9 +50,8 @@ class TagMapping:
 
 @cache
 def default_tagmap(vocabulary: tuple[str, ...] | None = None) -> TagMapping:
-    """The shipped Penn-Treebank-to-coarse table (48 fine tags)."""
-    path = files("homograph_tagger") / "data/penn_to_coarse.tsv"
-    with numbered_lines(path) as lines:
+    """The shipped Penn-Treebank-to-coarse table (48 fine tags), read from the package's data/."""
+    with numbered_lines(PACKAGE / "data" / "penn_to_coarse.tsv") as lines:
         return _parse_tagmap(lines, "<default tag map>", vocabulary)
 
 

@@ -1,20 +1,28 @@
-"""Shared helpers: the one percentage rounding, the collector pause and the line reader.
+"""Shared helpers: the one percentage rounding, the collector pause, the line reader,
+the package's directory and the one test that a file is unchanged.
 
 All percentages in reports are rounded once, by `pct_of`, to one
 decimal place with half-up rounding, which is what
-decimal.ROUND_HALF_UP gives and what round() does not.
+decimal.ROUND_HALF_UP gives and what round() does not. The package's
+sources and data files are read by path under `PACKAGE`.
 """
 
 import gc
+import os
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
 from io import BufferedReader, RawIOBase, TextIOWrapper
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
 from .errors import TaggerDataError
 
 _TENTH = Decimal("0.1")
+# the directory of the package's sources and its data/ files
+PACKAGE = Path(__file__).parent
+# the stat fields that tell one file, unchanged, from another
+_FILE_STATE = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
 
 def pct_of(numerator: int, denominator: int) -> float | None:
@@ -31,6 +39,15 @@ def pct_of(numerator: int, denominator: int) -> float | None:
 def fmt_pct(pct: float | None) -> str:
     """Render a percentage from `pct_of` as text, 'n/a' when undefined."""
     return "n/a" if pct is None else f"{pct}%"
+
+
+def same_file(before: os.stat_result, after: os.stat_result) -> bool:
+    """Whether two stats of a path are of one file with no write to it between them.
+
+    Every write changes a file's size or its modification and
+    status-change times, and no caller can set the latter back.
+    """
+    return _FILE_STATE(before) == _FILE_STATE(after)
 
 
 @contextmanager

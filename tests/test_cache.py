@@ -317,7 +317,7 @@ def test_the_cache_keeps_at_most_its_file_cap(cold_cache, tmp_path, monkeypatch)
 def test_a_package_without_its_sources_caches_nothing(cold_cache, lexicon_path, tmp_path):
     # the cache name covers the package's .py sources, so without them there is no name to give
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("homograph_tagger.lexicon.__file__", str(tmp_path / "no-sources" / "lexicon.pyc"))
+        patch.setattr("homograph_tagger.lexicon.PACKAGE", tmp_path / "no-sources")
         _code_stamp.cache_clear()
         try:
             without_sources = load_lexicon(lexicon_path)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from importlib.resources import files
@@ -506,6 +507,28 @@ def test_interrupted_tag_run_leaves_no_output_file(runner, fixtures_dir, tmp_pat
     )
     assert result.exit_code != 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_run_whose_temporary_file_is_gone_reports_its_own_error(
+    runner, fixtures_dir, tmp_path, monkeypatch
+):
+    def remove_temporary_first(results):
+        # as another process might: the temporary output file goes before the first write
+        for temporary in tmp_path.glob(".out.tsv.*.tmp"):
+            temporary.unlink()
+        return render_tokens(results)
+
+    render_tokens = cli.render_tokens
+    monkeypatch.setattr(cli, "render_tokens", remove_temporary_first)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("# doc: a\nbank\tNN\n\n# doc: b\nbad line\n", encoding="utf-8")
+    result = invoke(
+        runner, "tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
+        "--corpus", corpus, "--out", tmp_path / "out.tsv",
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {corpus}:5: expected 2 to 4 tab-separated fields, got 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv"]
 
 
 def test_failed_tag_run_to_stdout_may_print_a_prefix(runner, fixtures_dir, tmp_path):
@@ -1111,6 +1134,47 @@ def test_every_part_is_read_from_the_file_opened_whatever_becomes_of_its_path(
     result = invoke(runner, *args)
     assert len(split_three_ways) == 2
     assert (result.exit_code, result.stdout, result.stderr) == (0, whole.stdout, whole.stderr)
+
+
+def _append_a_document(corpus):
+    with corpus.open("a", encoding="utf-8") as fh:
+        fh.write("\n# doc: appended\nbank\tNN\n")
+
+
+def _chmod_to_the_same_mode(corpus):
+    # changes the status-change time alone
+    os.chmod(corpus, corpus.stat().st_mode & 0o7777)
+
+
+@pytest.mark.parametrize("change", [_append_a_document, _chmod_to_the_same_mode])
+def test_a_corpus_changed_after_its_stat_and_before_its_split_is_read_whole(
+    runner, fixtures_dir, tmp_path, monkeypatch, split_three_ways, change
+):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_copies(fixtures_dir, 9), encoding="utf-8")
+    # so that the change gets a later status-change time, even on a coarse clock
+    time.sleep(0.05)
+    args = ["tag", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", corpus]
+    opened = os.open
+    changed = []
+
+    def change_then_open(path, flags, *rest, **kwargs):
+        # the split opens the corpus read-only, after the CLI has stat-ed it
+        if not changed and flags == os.O_RDONLY and os.fspath(path) == str(corpus):
+            change(corpus)
+            changed.append(path)
+        return opened(path, flags, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", change_then_open)
+    result = invoke(runner, *args)
+    monkeypatch.setattr(os, "open", opened)
+    assert len(changed) == 1
+    assert split_three_ways == []
+    whole = _read_whole(runner, monkeypatch, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        whole.exit_code, whole.stdout, whole.stderr
+    )
+    assert whole.exit_code == 0, whole.stderr
 
 
 # ---------------------------------------------------------------------------

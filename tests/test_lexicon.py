@@ -2,8 +2,10 @@ import gc
 import json
 import pickle
 import re
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError, asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,35 @@ def test_default_vocabulary_is_the_embedded_17_tag_set():
     assert vocab[:4] == ("n", "v", "adj", "adv")
     assert "punct" in vocab and "x" in vocab
     assert len(set(vocab)) == 17
+
+
+# loads the defaults and a lexicon, cold and then from the cache, in an
+# interpreter with no site step, and prints which of the modules a package
+# read through importlib.resources would load are loaded
+_CLEAN_LOAD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import homograph_tagger
+homograph_tagger.default_vocabulary()
+homograph_tagger.default_tagmap()
+for _ in range(2):
+    homograph_tagger.load_lexicon(sys.argv[2])
+print(sorted({"importlib.resources", "tempfile", "zipfile"} & sys.modules.keys()))
+"""
+
+
+def test_a_clean_interpreter_reads_the_package_data_by_path(fixtures_dir, tmp_path):
+    # the site step of some interpreters imports importlib.resources itself, so only a
+    # process started without it can show what loading the package data imports
+    source = Path(__file__).resolve().parent.parent / "src"
+    lexicon = fixtures_dir / "pipeline_lexicon.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _CLEAN_LOAD, str(source), str(lexicon)],
+        capture_output=True, timeout=60, env={"XDG_CACHE_HOME": str(tmp_path)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"[]\n"
+    assert len(list((tmp_path / "homograph-tagger").iterdir())) == 1
 
 
 def test_load_vocabulary_reads_one_tag_per_line(tmp_path):
