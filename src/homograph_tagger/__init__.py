@@ -35,7 +35,6 @@ from .pipeline import (
     OUTPUT_HEADER,
     Document,
     LineRecord,
-    Token,
     read_corpus,
     render_output,
     render_tokens,

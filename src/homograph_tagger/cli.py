@@ -55,7 +55,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from itertools import chain
@@ -74,7 +74,7 @@ from .lexicon import (
 )
 from .pipeline import OUTPUT_HEADER, Document, render_tokens, status_counts, tag_corpus
 from .tagmap import default_tagmap, load_tagmap
-from .util import collector_paused
+from .util import collector_paused, replacing
 
 EXIT_DATA_ERROR = 1
 EXIT_USAGE_ERROR = 2
@@ -129,10 +129,9 @@ def _output(path: str | None) -> Iterator[TextIO]:
     """A text stream to path, or to stdout when path is None.
 
     Either way the text is written as UTF-8 with LF line ends, whatever
-    the locale or PYTHONIOENCODING says. A path is written through a
-    temporary file beside it (beside the file it links to, for a
-    symbolic link), renamed over it when the block ends normally and
-    removed when the block raises anything, KeyboardInterrupt included.
+    the locale or PYTHONIOENCODING says. A path is written all or nothing
+    by `util.replacing` (the file it links to, for a symbolic link, which
+    so keeps linking to the new file).
     A path that exists and is not a regular file, such as /dev/null, is
     written directly.
     """
@@ -146,23 +145,8 @@ def _output(path: str | None) -> Iterator[TextIO]:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         return
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    try:
-        # O_EXCL never clobbers another file; mode 0o666 lets the umask apply as for open()
-        descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(descriptor, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(temporary, target)
-    except BaseException:
-        # the temporary file may be gone already; the block's own error is the one to report
-        with suppress(FileNotFoundError):
-            os.unlink(temporary)
-        raise
+    with replacing(os.path.realpath(path), path) as fh:
+        yield fh
 
 
 def _usable_cpus() -> int:
@@ -380,16 +364,17 @@ def eval_command(
 def _scored(lexicon, documents: Iterable[Document], write=None) -> tuple[dict, bool, int, int]:
     """The report on documents as a dict, whether a token has a gold id, the documents and tokens.
 
-    Each document is scored against the gold ids its own tokens carry, as
-    it is read, and its report added to the sum so far. write is not
-    used: scoring writes nothing until the whole corpus is scored.
+    Each document's (index, record) pairs are scored against the gold ids
+    its own records carry, as it is read, and its report added to the sum
+    so far. write is not used: scoring writes nothing until the whole
+    corpus is scored.
     """
     report = _summed(())
     annotated = False
     n_documents = n_tokens = 0
     for document in documents:
-        gold = [record.gold_homograph_id for _, _, record in document.tokens]
-        report = _summed((report, evaluate(lexicon, document.tokens, gold)))
+        gold = [record.gold_homograph_id for record in document.tokens]
+        report = _summed((report, evaluate(lexicon, enumerate(document.tokens), gold)))
         # a gold id is at least 1, so a token is annotated when its gold id is true
         annotated = annotated or any(gold)
         n_documents += 1

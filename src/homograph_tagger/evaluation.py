@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import EvaluationError
 from .lexicon import Lexicon, normalize_key
-from .pipeline import Token
+from .pipeline import LineRecord
 from .util import fmt_pct, pct_of
 
 
@@ -54,14 +54,15 @@ _COUNTS = (
 
 def evaluate(
     lexicon: Lexicon,
-    results: Iterable[Token],
+    results: Iterable[tuple[int, LineRecord]],
     gold: Iterable[int | None],
 ) -> EvalReport:
-    """Score assignments against position-aligned gold homograph ids.
+    """Score (index, tagged record) pairs, such as `tag_document` gives, against gold ids.
 
     A scored token is correct when its assigned homograph id equals the
     gold id. Gold ids are range-checked against the homograph count each
-    tagged token's record carries; the lexicon argument is not consulted.
+    record carries, an error naming the token by its index; the lexicon
+    argument is not consulted.
 
     Both arguments are consumed once, in step, so they may be
     generators. An error in an earlier token is reported before a
@@ -77,7 +78,7 @@ def evaluate(
             raise EvaluationError(
                 f"results/gold length mismatch: {n_results} results, {n_gold} gold ids"
             )
-        record = tagged[2]
+        record = tagged[1]
         status = record.status
         if status == "C":
             continue
@@ -93,7 +94,7 @@ def evaluate(
         if not 1 <= gold_id <= n_homographs:
             raise EvaluationError(
                 f"gold homograph id {gold_id} out of range 1..{n_homographs}"
-                f" for {normalize_key(record.lemma or record.surface)!r} (line {tagged[1]})"
+                f" for {normalize_key(record.lemma or record.surface)!r} (token {tagged[0]})"
             )
         correct = record.homograph_id == gold_id
         if n_homographs >= 2:

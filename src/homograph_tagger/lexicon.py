@@ -73,7 +73,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
 from .util import (
-    PACKAGE, check_utf8, collector_paused, decoded_lines, fmt_pct, numbered_lines, pct_of, same_file
+    PACKAGE, check_utf8, collector_paused, decoded_lines, fmt_pct, numbered_lines, pct_of,
+    replacing, same_file,
 )
 
 _TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
@@ -397,22 +398,12 @@ def _entry_reader(
             try:
                 known = checked.get(tags)
             except TypeError:
-                # an unhashable tag, which the loop below rejects
+                # an unhashable tag, which _tag_list_problem rejects
                 known = None
             if known is None:
-                for index, tag in enumerate(pos):
-                    if type(tag) is not str:
-                        raise _homograph_error(
-                            source, lineno, word, position, "pos tags must be strings"
-                        )
-                    if tag not in vocab:
-                        raise _homograph_error(
-                            source, lineno, word, position, f"unknown coarse tag {tag!r}"
-                        )
-                    if index and tag in pos[:index]:
-                        raise _homograph_error(
-                            source, lineno, word, position, f"duplicate pos tag {tag!r}"
-                        )
+                problem = _tag_list_problem(pos, vocab)
+                if problem is not None:
+                    raise _homograph_error(source, lineno, word, position, problem)
                 known = checked[tags] = {}
             raw_senses = raw.get("senses")
             if type(raw_senses) is not list or not raw_senses:
@@ -439,6 +430,18 @@ def _entry_reader(
         return normalize_key(word), index
 
     return read_record
+
+
+def _tag_list_problem(pos: list, vocab: frozenset[str]) -> str | None:
+    """Why a homograph's tag list fails (a tag not a string, unknown or repeated), or None."""
+    for index, tag in enumerate(pos):
+        if type(tag) is not str:
+            return "pos tags must be strings"
+        if tag not in vocab:
+            return f"unknown coarse tag {tag!r}"
+        if index and tag in pos[:index]:
+            return f"duplicate pos tag {tag!r}"
+    return None
 
 
 def _homograph_error(
@@ -479,7 +482,7 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
         pos, n_senses = item
         if type(pos) is not list or not pos or type(n_senses) is not int or n_senses < 1:
             return None
-        if not all(type(tag) is str and tag in known for tag in pos) or len(set(pos)) != len(pos):
+        if _tag_list_problem(pos, known) is not None:
             return None
         tags = tuple(pos)
         homographs.append(Homograph(tag_lists.setdefault(tags, tags), n_senses))
@@ -615,23 +618,16 @@ def _read_form(directory: str, name: str) -> object:
 def _write_form(directory: str, name: str, form: dict[str, list]) -> None:
     """Keep form as the cache file name, then trim the directory; any failure is ignored.
 
-    The form goes to a temporary file beside its target that os.replace
-    moves into place, so a reader sees a whole file or none, and
-    concurrent writers of one name leave one file.
+    The form is written by `util.replacing`, so a reader sees a whole file
+    or none, concurrent writers of one name leave one file, and a symbolic
+    link planted under the name is replaced, not written through.
     """
-    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    path = os.path.join(directory, name)
     try:
-        descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            # json.dumps, unlike json.dump, encodes in C; ensure_ascii (its default)
-            # keeps lone surrogates, which a lexicon's JSON escapes may hold
-            with open(descriptor, "w", encoding="ascii") as fh:
-                fh.write(json.dumps(form, separators=(",", ":")))
-            os.replace(temporary, os.path.join(directory, name))
-        except BaseException:
-            with suppress(OSError):
-                os.unlink(temporary)
-            raise
+        with replacing(path, path) as fh:
+            # json.dumps, unlike json.dump, encodes in C; ensure_ascii (its default) escapes
+            # lone surrogates, which a lexicon's JSON escapes may hold: the text is ASCII
+            fh.write(json.dumps(form, separators=(",", ":")))
         _trim(directory)
     except OSError:
         pass

@@ -21,14 +21,14 @@ STATUS is C (closed class), U (unknown word), M (matched) or F
 restarts at 0 on each document boundary. The rendering is
 byte-deterministic: same input, same bytes.
 
-A token is the plain tuple `(index, line, record)`: its position in its
-document, its source line number and a `LineRecord`. The record holds
-what the token's line says (surface, fine tag, lemma, gold id) and, once
-tagged, what the tagger made of it (coarse tag, status, homograph id,
-the word type's homograph count) and the rendered output line after the
-index. A status is its output letter, the string "C", "U", "M" or "F",
-from the tagger to the scorer and the summary line. A rendered token is
-its index followed by that tail.
+A token is its line's `LineRecord`, and its index is its position in
+its document's tokens. The record holds what the token's line says
+(surface, fine tag, lemma, gold id) and, once tagged, what the tagger
+made of it (coarse tag, status, homograph id, the word type's homograph
+count) and the rendered output line after the index. A status is its
+output letter, the string "C", "U", "M" or "F", from the tagger to the
+scorer and the summary line. A rendered token is its index followed by
+that tail.
 
 `tag_corpus` is the way to tag; every command takes it. It yields one
 tagged document at a time, so a caller that writes each document before
@@ -37,8 +37,8 @@ reading the next holds one document in memory, not the corpus.
 calls of the benchmark's in-process child, which times reading, tagging
 and rendering apart. The one reader keeps a table local to the run from
 each distinct token line to its record: a line seen before costs one
-dict lookup and one token tuple, and is not split, checked, tagged or
-rendered again, and tokens on equal lines share one record.
+dict lookup and one reference, and is not split, checked, tagged or
+rendered again, and tokens on equal lines are one record.
 The table is emptied whenever it holds LINE_TABLE_SIZE lines, so its
 memory is capped by that module constant, not by the corpus size. A
 line that fails is never stored, so an error always names the line
@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple
 
@@ -71,10 +71,6 @@ _MISSING = "-"
 # _make(Cls, fields) builds the NamedTuple Cls without running the
 # Python-level __new__ that calling Cls runs, about half the cost of a record
 _make = tuple.__new__
-
-
-_record_of = itemgetter(2)
-_status_of = attrgetter("status")
 
 
 class LineRecord(NamedTuple):
@@ -102,16 +98,11 @@ class LineRecord(NamedTuple):
     tail: str | None = None
 
 
-# one corpus token: its index in its document, its source line number
-# (kept for diagnostics) and its line's record; a plain tuple, which
-# costs about half what a named one does
-Token = tuple[int, int, LineRecord]
-
-
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    tokens: tuple[Token, ...]
+    # a token's index in the document is its position here
+    tokens: tuple[LineRecord, ...]
 
 
 # the record of a line's surface, fine tag, lemma and gold id: tagged,
@@ -128,13 +119,13 @@ _Namer = Callable[[str | None, int], str]
 def read_corpus(path: str | Path) -> Iterator[Document]:
     """Read a tab-separated tagged corpus, yielding one document at a time.
 
-    Token indexes are assigned 0..m-1 per document; the tokens are not
-    tagged. Malformed lines, bad gold ids and duplicate document ids are
-    rejected with the offending line number where one exists, when the
-    reader reaches them: the documents before them have been yielded by
-    then. A corpus with no documents at all is rejected once the file is
-    read to the end. Iterate it once to stream the corpus;
-    `list(read_corpus(path))` reads it whole.
+    A document's tokens are its lines' records, untagged; a token's index
+    is its position among them. Malformed lines, bad gold ids and
+    duplicate document ids are rejected with the offending line number
+    where one exists, when the reader reaches them: the documents before
+    them have been yielded by then. A corpus with no documents at all is
+    rejected once the file is read to the end. Iterate it once to stream
+    the corpus; `list(read_corpus(path))` reads it whole.
     """
     return _read(path, LineRecord)
 
@@ -192,7 +183,7 @@ def _documents(
     table: dict[str, LineRecord] = {}
     known = table.get
     current_id: str | None = None
-    tokens: list[Token] = []
+    tokens: list[LineRecord] = []
     with opened as lines:
         for lineno, raw in lines:
             record = known(raw)
@@ -246,7 +237,7 @@ def _documents(
                 table[raw] = record
             if current_id is None:
                 current_id = name(None, lineno)
-            tokens.append((len(tokens), lineno, record))
+            tokens.append(record)
     if current_id is not None:
         yield Document(current_id, tuple(tokens))
 
@@ -284,26 +275,29 @@ def _gold_id(field: str, source: str, lineno: int) -> int:
 # homograph assignment
 
 
-def tag_document(lexicon: Lexicon, mapping: TagMapping, document: Document) -> list[Token]:
+def tag_document(
+    lexicon: Lexicon, mapping: TagMapping, document: Document
+) -> list[tuple[int, LineRecord]]:
     """Tag every token of a document, in order, in strict mode.
 
-    Each result is the token with its record tagged by the rule that
-    `tag_corpus` applies. The first unmapped fine tag raises, as
-    `unmapped fine tag 'XYZ' (line N)`, since no file is named.
+    Each result is the pair (index, record) of a token's index and its
+    record tagged by the rule that `tag_corpus` applies. The first
+    unmapped fine tag raises, as `unmapped fine tag 'XYZ' (token N)`
+    with the token's index, since no file is named.
     """
     tag = _tagging_rule(lexicon, mapping, strict=True, skip_proper=False, render=True)
-    # tokens on equal lines share one record, so each record is tagged once
+    # tokens on equal lines are one record, so each record is tagged once
     tagged_of: dict[LineRecord, LineRecord] = {}
     results = []
-    for index, line, record in document.tokens:
+    for index, record in enumerate(document.tokens):
         tagged = tagged_of.get(record)
         if tagged is None:
             tagged = tag(*record[:4])
             if tagged is None:
-                raise UnmappedTagError(f"unmapped fine tag {record.fine_tag!r} (line {line})")
+                raise UnmappedTagError(f"unmapped fine tag {record.fine_tag!r} (token {index})")
             tagged_of[record] = tagged
-        results.append((index, line, tagged))
-    return results
+        results.append(tagged)
+    return list(enumerate(results))
 
 
 def _tagging_rule(
@@ -346,16 +340,16 @@ def _tagging_rule(
 # output
 
 
-def render_output(results: Iterable[Token]) -> str:
-    """Render tagged tokens in the tab-separated output format, header included."""
-    return f"{OUTPUT_HEADER}\n{render_tokens(results)}"
+def render_output(results: Iterable[tuple[int, LineRecord]]) -> str:
+    """Render (index, tagged record) pairs in the tab-separated output format, header included."""
+    return OUTPUT_HEADER + "\n" + "".join([f"{index}{record.tail}" for index, record in results])
 
 
-def render_tokens(results: Iterable[Token]) -> str:
-    """Render tagged tokens as output lines, without the header."""
-    return "".join([f"{index}{record.tail}" for index, _, record in results])
+def render_tokens(records: Iterable[LineRecord]) -> str:
+    """Render a document's tagged records as output lines, indexed from 0, without the header."""
+    return "".join([f"{index}{record.tail}" for index, record in enumerate(records)])
 
 
-def status_counts(results: Iterable[Token]) -> Counter[str]:
-    """Tally of tagged tokens' status letters, for run summaries."""
-    return Counter(map(_status_of, map(_record_of, results)))
+def status_counts(records: Iterable[LineRecord]) -> Counter[str]:
+    """Tally of tagged records' status letters, for run summaries."""
+    return Counter(map(attrgetter("status"), records))

@@ -1,24 +1,21 @@
 """Shared helpers: the one percentage rounding, the collector pause, the line reader,
-the package's directory and the one test that a file is unchanged.
+the package's directory, the one unchanged-file test and the all-or-nothing writer.
 
 All percentages in reports are rounded once, by `pct_of`, to one
-decimal place with half-up rounding, which is what
-decimal.ROUND_HALF_UP gives and what round() does not. The package's
-sources and data files are read by path under `PACKAGE`.
+decimal place with half-up rounding, which round() does not give. The
+package's sources and data files are read by path under `PACKAGE`.
 """
 
 import gc
 import os
-from contextlib import contextmanager
-from decimal import ROUND_HALF_UP, Decimal
+from contextlib import contextmanager, suppress
 from io import BufferedReader, RawIOBase, TextIOWrapper
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .errors import TaggerDataError
 
-_TENTH = Decimal("0.1")
 # the directory of the package's sources and its data/ files
 PACKAGE = Path(__file__).parent
 # the stat fields that tell one file, unchanged, from another
@@ -32,8 +29,8 @@ def pct_of(numerator: int, denominator: int) -> float | None:
     """
     if not denominator:
         return None
-    value = Decimal(100 * numerator) / Decimal(denominator)
-    return float(value.quantize(_TENTH, rounding=ROUND_HALF_UP))
+    # 1000 * numerator / denominator tenths, rounded half-up in integers
+    return (2000 * numerator + denominator) // (2 * denominator) / 10
 
 
 def fmt_pct(pct: float | None) -> str:
@@ -48,6 +45,32 @@ def same_file(before: os.stat_result, after: os.stat_result) -> bool:
     status-change times, and no caller can set the latter back.
     """
     return _FILE_STATE(before) == _FILE_STATE(after)
+
+
+@contextmanager
+def replacing(path: str, shown: str) -> Iterator[TextIO]:
+    """A UTF-8 text stream with LF line ends whose text replaces the file at path, all or nothing.
+
+    It writes a temporary file beside path, moved onto path (a symbolic link
+    there included) when the block ends and removed when it raises anything.
+    A temporary file that cannot be made raises an OSError naming shown.
+    """
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # O_EXCL never clobbers another file; mode 0o666 lets the umask apply as for open()
+        descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, shown) from None
+    try:
+        with open(descriptor, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        # the temporary file may be gone already
+        with suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 @contextmanager

@@ -33,8 +33,8 @@ def make_lexicon(*entries, vocabulary=None):
     )
 
 
-def tok(surface, fine, lemma=None, gold=None, index=0, line=1):
-    return index, line, LineRecord(surface, fine, lemma, gold)
+def tok(surface, fine, lemma=None, gold=None):
+    return LineRecord(surface, fine, lemma, gold)
 
 
 def write_corpus(directory, text, name="corpus.tsv"):
@@ -51,7 +51,7 @@ def tag_lines(directory, lexicon, mapping, *lines, **options):
     """
     text = "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
     documents = tag_corpus(lexicon, mapping, write_corpus(directory, text), **options)
-    return [record for document in documents for _, _, record in document.tokens]
+    return [record for document in documents for record in document.tokens]
 
 
 def cache_files(directory):

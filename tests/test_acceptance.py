@@ -162,7 +162,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
     results = [r for d in docs for r in tag_document(news_lexicon, penn, d)]
     self_gold = [
         r.homograph_id if r.status in ("M", "F") else None
-        for _, _, r in results
+        for _, r in results
     ]
     self_report = evaluate(news_lexicon, results, self_gold)
     assert self_report.accuracy_overall == 1.0
@@ -172,9 +172,9 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
     # identity 2: single-homograph words cannot be scored wrong
     mono_lexicon = make_lexicon(make_entry("sofa", ("n",)), make_entry("tulip", ("n",)))
     mono_doc = Document("d", (
-        tok("sofa", "NN", gold=1, index=0),
-        tok("tulip", "JJ", gold=1, index=1),
-        tok("Sofa", "NN", gold=1, index=2),
+        tok("sofa", "NN", gold=1),
+        tok("tulip", "JJ", gold=1),
+        tok("Sofa", "NN", gold=1),
     ))
     mono_results = tag_document(mono_lexicon, penn, mono_doc)
     mono_report = evaluate(mono_lexicon, mono_results, [1, 1, 1])
@@ -186,7 +186,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
     mixed_lexicon = load_lexicon(fixtures_dir / "eval_mixed_lexicon.jsonl")
     mixed_docs = list(read_corpus(fixtures_dir / "eval_mixed_corpus.tsv"))
     mixed_results = [r for d in mixed_docs for r in tag_document(mixed_lexicon, penn, d)]
-    mixed_gold = [r.gold_homograph_id for _, _, r in mixed_results]
+    mixed_gold = [r.gold_homograph_id for _, r in mixed_results]
     mixed = evaluate(mixed_lexicon, mixed_results, mixed_gold)
     assert mixed.accuracy_overall == 9 / 10
     assert mixed.accuracy_poly == 5 / 6
@@ -200,7 +200,7 @@ def test_a6_evaluation_identities_hold(fixtures_dir, news_lexicon, penn):
 def test_a7_fixture_corpus_is_majority_polyhomographic(fixtures_dir, news_lexicon, penn, news_counts):
     docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     results = [r for d in docs for r in tag_document(news_lexicon, penn, d)]
-    gold = [r.gold_homograph_id for _, _, r in results]
+    gold = [r.gold_homograph_id for _, r in results]
     report = evaluate(news_lexicon, results, gold)
     expected_share = (
         news_counts["poly_share_numerator"] / news_counts["poly_share_denominator"]

@@ -148,6 +148,25 @@ def test_a_damaged_cache_file_is_ignored_and_rewritten(
     assert cached.read_bytes() == written
 
 
+def test_a_link_planted_under_a_cache_name_is_replaced_not_written_through(
+    cold_cache, lexicon_path, tmp_path, full_loads
+):
+    cold = load_lexicon(lexicon_path)
+    (name,) = cache_files(cold_cache)
+    cached = cold_cache / name
+    written = cached.read_bytes()
+    outside = tmp_path / "outside.json"
+    outside.write_bytes(b"not a cache form")
+    cached.unlink()
+    cached.symlink_to(outside)
+    # the link's target is garbage, so the load misses and writes the form again
+    assert load_lexicon(lexicon_path) == cold
+    assert len(full_loads) == 2
+    assert outside.read_bytes() == b"not a cache form"
+    assert not cached.is_symlink() and cached.is_file()
+    assert cached.read_bytes() == written
+
+
 def test_changing_one_byte_of_the_lexicon_is_a_miss(cold_cache, lexicon_path, full_loads):
     cold = load_lexicon(lexicon_path)
     # one letter of a definition, which the loaded lexicon does not keep

@@ -13,6 +13,7 @@ import weakref
 from importlib.resources import files
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
@@ -849,6 +850,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "validate" in proc.stdout and "eval" in proc.stdout
+
+
+def test_a_clean_interpreter_imports_the_cli_without_decimal():
+    # with no site step, sys.path holds only the package's sources and click's
+    # directory, so what is imported is what the CLI itself imports
+    source = Path(__file__).resolve().parent.parent / "src"
+    click_directory = Path(click.__file__).resolve().parent.parent
+    code = "import sys; sys.path[:0] = sys.argv[1:]; import homograph_tagger.cli; print('decimal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(source), str(click_directory)],
+        capture_output=True, timeout=60, env={},
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", b"False\n")
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import oracles
 from homograph_tagger import (
     CorpusError,
     Document,
+    LineRecord,
     UnmappedTagError,
     read_corpus,
     render_output,
@@ -39,12 +40,18 @@ def test_read_corpus_fixture_shape(fixtures_dir):
     docs = list(read_corpus(fixtures_dir / "news_corpus.tsv"))
     assert [d.doc_id for d in docs] == [f"article-{i}" for i in range(1, 6)]
     assert sum(len(d.tokens) for d in docs) == 209
-    _, _, first = docs[0].tokens[1]
+    first = docs[0].tokens[1]
     assert (first.surface, first.fine_tag, first.lemma) == ("bank", "NN", None)
     assert first.gold_homograph_id == 1
-    # indexes restart inside every document
-    for doc in docs:
-        assert [index for index, _, _ in doc.tokens] == list(range(len(doc.tokens)))
+
+
+def test_a_document_holds_its_lines_records_and_equal_lines_are_one(tmp_path, lex, penn):
+    path = write_corpus(tmp_path, "bank\tNN\nthe\tDT\nbank\tNN\nbank\tVB\n")
+    for documents in (read_corpus(path), tag_corpus(lex, penn, path)):
+        (doc,) = documents
+        assert all(type(token) is LineRecord for token in doc.tokens)
+        assert doc.tokens[0] is doc.tokens[2]
+        assert doc.tokens[0] != doc.tokens[3]
 
 
 def test_read_corpus_assigns_implicit_ids_by_position(tmp_path):
@@ -79,17 +86,16 @@ def test_read_corpus_ignores_a_bom_before_a_document_header(tmp_path):
 def test_read_corpus_skips_comments_but_not_hash_tokens(tmp_path):
     path = write_corpus(tmp_path, "# a comment\nwell\tUH\n#\t#\n#word\tNN\n")
     (doc,) = list(read_corpus(path))
-    assert [t.surface for _, _, t in doc.tokens] == ["well", "#"]
-    assert doc.tokens[1][2].fine_tag == "#"
+    assert [t.surface for t in doc.tokens] == ["well", "#"]
+    assert doc.tokens[1].fine_tag == "#"
 
 
 def test_read_corpus_field_handling(tmp_path):
     path = write_corpus(tmp_path, "a\tNN\nb\tNN\tlem\nc\tNN\t\t2\nd\tNN\tlem\t3\n")
     (doc,) = list(read_corpus(path))
-    assert [(t.lemma, t.gold_homograph_id) for _, _, t in doc.tokens] == [
+    assert [(t.lemma, t.gold_homograph_id) for t in doc.tokens] == [
         (None, None), ("lem", None), (None, 2), ("lem", 3),
     ]
-    assert [line for _, line, _ in doc.tokens] == [1, 2, 3, 4]
 
 
 _LONG_GOLD = "a\tNN\t\t" + "1" * 5000 + "\n"
@@ -199,11 +205,11 @@ def test_lookup_applies_no_unicode_normalization(tmp_path, penn):
 
 
 def test_unmapped_tag_strict_and_lenient(tmp_path, lex, penn):
-    # tag_document reads no file, so its message names the line alone
-    # (tag_corpus's message, with the path, is pinned below)
+    # tag_document reads no file, so its message names the token's index
+    # (tag_corpus's message, with the path and line, is pinned below)
     with pytest.raises(UnmappedTagError) as exc_info:
-        tag_document(lex, penn, Document("d", (tok("bank", "XYZ", line=41),)))
-    assert str(exc_info.value) == "unmapped fine tag 'XYZ' (line 41)"
+        tag_document(lex, penn, Document("d", (tok("bank", "NN"), tok("bank", "XYZ"))))
+    assert str(exc_info.value) == "unmapped fine tag 'XYZ' (token 1)"
     (lenient,) = tag_lines(tmp_path, lex, penn, ("bank", "XYZ"), strict=False)
     assert lenient.status == "C"
     assert lenient.coarse_tag is None
@@ -226,18 +232,18 @@ def test_skip_proper_short_circuits_known_proper_nouns(tmp_path, lex, penn):
 
 
 def test_tag_document_keeps_token_order(lex, penn):
-    doc = Document("d", (tok("The", "DT", index=0), tok("bank", "NN", index=1),
-                         tok("files", "VBZ", lemma="file", index=2)))
+    doc = Document("d", (tok("The", "DT"), tok("bank", "NN"),
+                         tok("files", "VBZ", lemma="file")))
     results = tag_document(lex, penn, doc)
-    assert [r.status for _, _, r in results] == ["C", "M", "M"]
-    assert [index for index, _, _ in results] == [0, 1, 2]
-    assert status_counts(results) == {"M": 2, "C": 1}
+    assert [r.status for _, r in results] == ["C", "M", "M"]
+    assert [index for index, _ in results] == [0, 1, 2]
+    assert status_counts(r for _, r in results) == {"M": 2, "C": 1}
 
 
 def test_render_output_exact_format(lex, penn):
-    doc_a = Document("a", (tok("The", "DT", index=0), tok("bank", "NN", index=1),
-                           tok("zorblat", "NN", index=2), tok("gravel", "JJ", index=3)))
-    doc_b = Document("b", (tok("Stocks", "NNS", lemma="stock", index=0),))
+    doc_a = Document("a", (tok("The", "DT"), tok("bank", "NN"),
+                           tok("zorblat", "NN"), tok("gravel", "JJ")))
+    doc_b = Document("b", (tok("Stocks", "NNS", lemma="stock"),))
     results = tag_document(lex, penn, doc_a) + tag_document(lex, penn, doc_b)
     assert render_output(results) == (
         "#homograph-tagger v1\n"
@@ -262,18 +268,19 @@ def test_full_fixture_run_matches_the_hand_traced_golden(fixtures_dir, news_lexi
 
 def test_tag_corpus_is_read_corpus_then_tag_document(fixtures_dir, news_lexicon, penn, monkeypatch):
     path = fixtures_dir / "news_corpus.tsv"
-    two_steps = [(d.doc_id, tuple(tag_document(news_lexicon, penn, d))) for d in read_corpus(path)]
-    one_pass = [(d.doc_id, d.tokens) for d in tag_corpus(news_lexicon, penn, path)]
+    two_steps = [(d.doc_id, tag_document(news_lexicon, penn, d)) for d in read_corpus(path)]
+    one_pass = [(d.doc_id, list(enumerate(d.tokens))) for d in tag_corpus(news_lexicon, penn, path)]
     assert one_pass == two_steps
     # tokens on equal lines share one record
-    records = [record for _, tokens in one_pass for _, _, record in tokens]
+    records = [record for _, tokens in one_pass for _, record in tokens]
     assert len({id(r) for r in records}) == len(set(records)) < len(records)
     # a scorer's run makes no output lines, and the rest of each record is the same
-    scored = [r for d in tag_corpus(news_lexicon, penn, path, render=False) for _, _, r in d.tokens]
+    scored = [r for d in tag_corpus(news_lexicon, penn, path, render=False) for r in d.tokens]
     assert scored == [r._replace(tail=None) for r in records]
     # a table that holds one line forgets each line as the next comes in
     monkeypatch.setattr("homograph_tagger.pipeline.LINE_TABLE_SIZE", 1)
-    assert [(d.doc_id, d.tokens) for d in tag_corpus(news_lexicon, penn, path)] == two_steps
+    one_line_table = tag_corpus(news_lexicon, penn, path)
+    assert [(d.doc_id, list(enumerate(d.tokens))) for d in one_line_table] == two_steps
 
 
 def test_tag_corpus_names_the_file_and_line_of_an_unmapped_tag(tmp_path, lex, penn):

@@ -233,7 +233,7 @@ _identity_map = TagMapping(
 def _tag_one(entry, tag):
     """The tagged record of the token `w` tagged `tag.upper()`, over a lexicon of entry alone."""
     document = Document("d", (tok("w", tag.upper()),))
-    ((_, _, record),) = tag_document(make_lexicon(entry), _identity_map, document)
+    ((_, record),) = tag_document(make_lexicon(entry), _identity_map, document)
     return record
 
 
