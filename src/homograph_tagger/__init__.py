@@ -38,7 +38,6 @@ from .pipeline import (
     read_corpus,
     render_output,
     render_tokens,
-    status_counts,
     tag_corpus,
     tag_document,
 )

@@ -9,15 +9,16 @@ A part starts just after a blank line that follows a token line
 is forked for each part after the first once the lexicon and tag map
 are loaded. It reads its part of the one open corpus file, with its
 lines numbered as in the whole file (`line_ends`), its own line table
-and its own current document, and it runs the command's work on the
-part's documents: it spools the text the work writes to an anonymous
-temporary file and sends back, as JSON over a pipe, where each document
-starts, what the work returned and the error that ended the part, if
-any. The parent tags the first part itself, then takes each worker's
-result in file order (`_results`), so a split run gives what a run that
-reads the corpus whole gives. A worker never writes to stdout or
-stderr and always ends with os._exit; the parent reaps every worker
-however the run ends, killing first those still running.
+and its own current document, and it tallies the part's documents with
+`pipeline._tally_documents`: on a rendering run (`tag`) it spools their
+output lines to an anonymous temporary file. It sends back, as JSON over
+a pipe, where each document starts, its tally and number of documents,
+and the error that ended the part, if any. The parent tags the first
+part itself, then takes each worker's result in file order (`_results`),
+so a split run gives what a run that reads the corpus whole gives. A
+worker never writes to stdout or stderr and always ends with os._exit;
+the parent reaps every worker however the run ends, killing first those
+still running.
 """
 
 from __future__ import annotations
@@ -35,13 +36,9 @@ from typing import IO, Any, Callable, Iterable, Iterator
 
 from .errors import CorpusError, TaggerDataError
 from .lexicon import Lexicon
-from .pipeline import Document, _documents, _new_id, _Namer, _tagging_rule
+from .pipeline import Document, _documents, _new_id, _Namer, _tagging_rule, _tally_documents
 from .tagmap import TagMapping
 from .util import decoded_lines, same_file
-
-# what a command does with the documents of one part: work(documents,
-# write) writes any text through write and returns what the command sums
-Work = Callable[[Iterator[Document], Callable[[str], Any]], Any]
 
 
 @contextmanager
@@ -52,7 +49,6 @@ def corpus_parts(
     before: os.stat_result,
     parts: int,
     least: int,
-    work: Work,
     **options,
 ) -> Iterator[tuple[Iterator[Document], Callable[..., Iterator[Any]]] | None]:
     """The corpus at corpus_path split among up to parts processes, or None where it is not split.
@@ -60,7 +56,7 @@ def corpus_parts(
     before is the corpus's stat, a regular file, and no part is smaller
     than least bytes. Yields (documents, results): documents is the first
     part's, which this process tags with `tag_corpus`'s options, and
-    results(write) yields what work returned in each worker, in file order
+    results(write) yields each worker's tally and document count in order
     (see `_results`). Yields None, having started no worker, where this
     process runs other threads (a forked child holds only the calling
     thread, and any lock another held), where the kernel reaps its
@@ -85,7 +81,7 @@ def corpus_parts(
         if same_file(before, opened):
             starts = part_starts(fd, opened.st_size, parts, least)
         part = partial(tag_part, lexicon, mapping, corpus_path, fd, **options)
-        if len(starts) > 1 and _started(workers, part, starts, work):
+        if len(starts) > 1 and _started(workers, part, starts, options["render"]):
             seen: set[str] = set()
             # the first part holds a token line, so the corpus is never empty
             yield (
@@ -99,11 +95,11 @@ def corpus_parts(
         os.close(fd)
 
 
-def _started(workers: list[_Worker], part: Callable, starts: list[int], work: Work) -> bool:
+def _started(workers: list[_Worker], part: Callable, starts: list[int], render: bool) -> bool:
     """Whether a worker started on each part after the first; where one did not, none is left."""
     try:
         for start, end in zip(starts[1:], [*starts[2:], None]):
-            _start(workers, partial(_run_part, partial(part, start, end), work))
+            _start(workers, partial(_run_part, partial(part, start, end), render))
     except OSError:
         # nothing is read or written yet, so the corpus can still be read whole
         _end(workers)
@@ -155,12 +151,14 @@ def _start(workers: list[_Worker], run: Callable[[IO[bytes], int], None]) -> Non
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _run_part(documents_of: Callable, work: Work, spool: IO[bytes], sink: int) -> None:
-    """A worker's work: run work on its part, spool what it writes and send its result to sink.
+def _run_part(documents_of: Callable, render: bool, spool: IO[bytes], sink: int) -> None:
+    """A worker's work: tally its part, spool its output lines if render, send the result to sink.
 
     The result is JSON: where each document starts (line, declared id or
-    None, and the spool's offset, its tell), what work returned, and the data
-    or I/O error that ended the part, as (whether a data error, message), or None.
+    None, and the spool's offset, its tell), the part's `_tally_documents`
+    result (its tally, whose keys are strings, and its number of
+    documents), and the data or I/O error that ended the part, as
+    (whether a data error, message), or None.
     """
     starts: list[tuple[int, str | None, int]] = []
     with open(spool.fileno(), "wb", closefd=False) as out:
@@ -172,8 +170,9 @@ def _run_part(documents_of: Callable, work: Work, spool: IO[bytes], sink: int) -
             return declared or ""
 
         result = error = None
+        write = (lambda text: out.write(text.encode("utf-8"))) if render else None
         try:
-            result = work(documents_of(name), lambda text: out.write(text.encode("utf-8")))
+            result = _tally_documents(documents_of(name), write)
         except TaggerDataError as exc:
             error = (True, str(exc))
         except OSError as exc:
@@ -185,14 +184,14 @@ def _run_part(documents_of: Callable, work: Work, spool: IO[bytes], sink: int) -
 def _results(
     workers: list[_Worker], seen: set[str], source: str, write: Callable[[str], Any] | None = None
 ) -> Iterator[Any]:
-    """What work returned in each worker, in file order, as a run read whole would have it.
+    """Each worker's tally and number of documents, in file order, as a run read whole has them.
 
     Before a worker's result, each of its documents is named after the
-    documents before it, and its text is copied through write, which may
-    be None where work writes nothing. The first failure in reading order
-    is raised once write has had all the text before it: a duplicate
-    document id, the worker's own error, or a worker that ended without
-    a result.
+    documents before it, and its output lines are copied through write,
+    which is None on a run that does not render, where none are spooled.
+    The first failure in reading order is raised once write has had all
+    the text before it: a duplicate document id, the worker's own error,
+    or a worker that ended without a result.
     """
     for worker in workers:
         with open(worker.pipe, "rb") as pipe:

@@ -10,15 +10,17 @@ as UTF-8 whatever the locale. Input files may start with a UTF-8 byte
 order mark, which is ignored.
 
 `tag` and `eval` stream the corpus through `tag_corpus`: each document
-is read, tagged and written (or scored) before the next one is read,
+is read, tagged and written (or counted) before the next one is read,
 and each distinct token line is checked and tagged once, in a table of
-bounded size. So memory stays flat across documents, but one document
-is held whole: a corpus with no blank line is one document, and its
-memory grows with its length. Both print the
-same one-line summary of token statuses to stderr when they succeed:
-`tag` counts the statuses of the tokens it writes, and `eval` reads
-them from its report, which has counted every token's status. A status
-is its output letter ("M", "F", "U" or "C") from tagger to summary.
+bounded size. So the tokens of one document are held at a time, and
+the ids of all documents read so far, one per document, to reject a
+duplicate: a corpus with no blank line is one document, and its memory
+grows with its length. Both commands count tokens one way: by each
+record's tally key, its status letter then how its gold id scores (see
+`pipeline.tally_of`). `tag` prints the one-line summary of token
+statuses from that tally to stderr when it succeeds, and `eval` prints
+the same line and renders its report from the same tally. A status is
+its output letter ("M", "F", "U" or "C") from tagger to summary.
 A file named by `--out` or `--report` is written all-or-nothing: the
 run writes a temporary file in the same directory and renames it over
 the target only on success, so a failed or interrupted run leaves no
@@ -34,10 +36,10 @@ split among the usable CPUs at blank lines that end a document (see
 After the lexicon and tag map are loaded, and before any output opens,
 one worker process is forked per part after the first. Each worker
 holds its own line table and current document, and reads, checks and
-tags (or scores) its part of the one open file. This process tags the
+tags and tallies its part of the one open file. This process tags the
 first part, then takes the workers' results in file order: it names
 their documents after its own, copies their spooled output and adds
-their counts. It raises the first failure in reading order once the
+their tallies. It raises the first failure in reading order once the
 output that a run in one process would have written is written. So a
 split run gives the same output, summary, error and exit code. A
 corpus from a pipe, one under two parts and one with no document end in
@@ -56,15 +58,13 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict
-from functools import partial
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterator, Mapping, TextIO
 
 import click
 
 from .errors import EvaluationError, TaggerDataError
-from .evaluation import EvalReport, _summed, evaluate, render_report
+from .evaluation import render_report, report_of
 from .lexicon import (
     analyze_lexicon,
     default_vocabulary,
@@ -72,7 +72,7 @@ from .lexicon import (
     load_vocabulary,
     render_taxonomy,
 )
-from .pipeline import OUTPUT_HEADER, Document, render_tokens, status_counts, tag_corpus
+from .pipeline import OUTPUT_HEADER, Document, _tally_documents, tag_corpus, tally_totals
 from .tagmap import default_tagmap, load_tagmap
 from .util import collector_paused, replacing
 
@@ -116,11 +116,12 @@ def _load_tagmap(tagmap_path, vocabulary):
 
 
 def _summary(n_documents: int, counts: Mapping[str, int]) -> str:
-    """The stderr line that ends a successful tag or eval run, from counts by status letter."""
+    """The stderr line that ends a successful tag or eval run, from counts by tally key."""
+    totals = tally_totals(counts)
     return (
         f"tagged {sum(counts.values())} tokens in {n_documents} documents:"
-        f" {counts['M']} matched, {counts['F']} fallback,"
-        f" {counts['U']} unknown, {counts['C']} closed-class"
+        f" {totals['M']} matched, {totals['F']} fallback,"
+        f" {totals['U']} unknown, {totals['C']} closed-class"
     )
 
 
@@ -158,17 +159,17 @@ def _usable_cpus() -> int:
 
 @contextmanager
 def _corpus_parts(
-    lexicon, mapping, corpus_path: str, work: Callable, **options
+    lexicon, mapping, corpus_path: str, **options
 ) -> Iterator[tuple[Iterator[Document], Callable[..., Iterator[Any]]]]:
-    """The documents this process tags, and the results of the other processes.
+    """The documents this process tags, and the tallies of the other processes.
 
     Yields (documents, results). Where os.fork exists, more than one CPU
     is usable and the corpus is a regular file of two parts of PART_BYTES
     or more, `_parts.corpus_parts` may split it among worker processes:
     documents is then the first part's, and results(write) yields, in file
-    order, what work(documents, write) returned on each other part.
-    Otherwise documents is `tag_corpus(lexicon, mapping, corpus_path,
-    **options)` and results yields nothing.
+    order, `_tally_documents(part, write)` of each other part. Otherwise
+    documents is `tag_corpus(lexicon, mapping, corpus_path, **options)`
+    and results yields nothing.
     """
     import stat
 
@@ -183,13 +184,24 @@ def _corpus_parts(
             from ._parts import corpus_parts
 
             split = corpus_parts(
-                lexicon, mapping, corpus_path, before, parts, PART_BYTES, work, **options
+                lexicon, mapping, corpus_path, before, parts, PART_BYTES, **options
             )
             with split as documents_and_results:
                 if documents_and_results is not None:
                     yield documents_and_results
                     return
     yield tag_corpus(lexicon, mapping, corpus_path, **options), lambda write=None: iter(())
+
+
+def _tallied(
+    documents: Iterator[Document], results: Callable[..., Iterator[Any]], write=None
+) -> tuple[Counter[str], int]:
+    """The tally and number of documents of every part, each part's output written through write."""
+    counts, n_documents = _tally_documents(documents, write)
+    for more_counts, more_documents in results(write):
+        counts.update(more_counts)
+        n_documents += more_documents
+    return counts, n_documents
 
 
 def _output_path(ctx, param, value):
@@ -285,31 +297,14 @@ def tag(lexicon_path, vocabulary_path, tagmap_path, corpus_path, output_path, le
     lexicon = _load_lexicon(lexicon_path, vocabulary_path)
     mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
     options = dict(strict=not lenient, skip_proper=skip_proper, render=True)
-    parts = _corpus_parts(lexicon, mapping, corpus_path, _write_tagged, **options)
-    with parts as (stream, results):
+    with _corpus_parts(lexicon, mapping, corpus_path, **options) as (stream, results):
         # the first document is tagged before any output is opened, so a corpus
         # that fails at once (missing, empty, malformed at the top) prints nothing
         documents = chain([next(stream)], stream)
         with _output(output_path) as out:
             out.write(f"{OUTPUT_HEADER}\n")
-            counts, n_documents = _write_tagged(documents, out.write)
-            for more_counts, more_documents in results(out.write):
-                counts.update(more_counts)
-                n_documents += more_documents
+            counts, n_documents = _tallied(documents, results, out.write)
     print(_summary(n_documents, counts), file=sys.stderr)
-
-
-def _write_tagged(
-    documents: Iterable[Document], write: Callable[[str], Any]
-) -> tuple[Counter[str], int]:
-    """Write each tagged document's output lines; the counts of their statuses, and of documents."""
-    counts: Counter[str] = Counter()
-    n_documents = 0
-    for document in documents:
-        write(render_tokens(document.tokens))
-        counts.update(status_counts(document.tokens))
-        n_documents += 1
-    return counts, n_documents
 
 
 @main.command(name="eval")
@@ -341,42 +336,10 @@ def eval_command(
     lexicon = _load_lexicon(lexicon_path, vocabulary_path)
     mapping = _load_tagmap(tagmap_path, lexicon.vocabulary)
     options = dict(strict=not lenient, skip_proper=skip_proper, render=False)
-    score = partial(_scored, lexicon)
-    with _corpus_parts(lexicon, mapping, corpus_path, score, **options) as (documents, results):
-        parts = [score(documents), *results()]
-    reports, annotated, n_documents, n_tokens = zip(*parts)
-    report = _summed(EvalReport(**fields) for fields in reports)
-    if not any(annotated):
+    with _corpus_parts(lexicon, mapping, corpus_path, **options) as (documents, results):
+        counts, n_documents = _tallied(documents, results)
+    if not tally_totals(counts)["gold"]:
         raise EvaluationError(f"{corpus_path}: corpus carries no gold homograph annotations")
     with _output(report_path) as out:
-        out.write(render_report(report, report_format))
-    # evaluate has counted every open-class token as matched, fallback or unknown
-    known = report.n_open_class - report.n_unknown
-    counts = {
-        "M": known - report.fallback_count,
-        "F": report.fallback_count,
-        "U": report.n_unknown,
-        "C": sum(n_tokens) - report.n_open_class,
-    }
-    print(_summary(sum(n_documents), counts), file=sys.stderr)
-
-
-def _scored(lexicon, documents: Iterable[Document], write=None) -> tuple[dict, bool, int, int]:
-    """The report on documents as a dict, whether a token has a gold id, the documents and tokens.
-
-    Each document's (index, record) pairs are scored against the gold ids
-    its own records carry, as it is read, and its report added to the sum
-    so far. write is not used: scoring writes nothing until the whole
-    corpus is scored.
-    """
-    report = _summed(())
-    annotated = False
-    n_documents = n_tokens = 0
-    for document in documents:
-        gold = [record.gold_homograph_id for record in document.tokens]
-        report = _summed((report, evaluate(lexicon, enumerate(document.tokens), gold)))
-        # a gold id is at least 1, so a token is annotated when its gold id is true
-        annotated = annotated or any(gold)
-        n_documents += 1
-        n_tokens += len(gold)
-    return asdict(report), annotated, n_documents, n_tokens
+        out.write(render_report(report_of(counts), report_format))
+    print(_summary(n_documents, counts), file=sys.stderr)

@@ -9,13 +9,14 @@ stratum is where disambiguation is actually measured.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import EvaluationError
 from .lexicon import Lexicon, normalize_key
-from .pipeline import LineRecord
+from .pipeline import LineRecord, tally_of, tally_totals
 from .util import fmt_pct, pct_of
 
 
@@ -45,11 +46,6 @@ class EvalReport:
 
 
 _END = object()
-# the fields of a report that count tokens, in order; the others are ratios of them
-_COUNTS = (
-    "n_open_class", "n_unknown", "n_mono", "n_poly", "correct_mono", "correct_poly",
-    "fallback_count",
-)
 
 
 def evaluate(
@@ -61,15 +57,16 @@ def evaluate(
 
     A scored token is correct when its assigned homograph id equals the
     gold id. Gold ids are range-checked against the homograph count each
-    record carries, an error naming the token by its index; the lexicon
-    argument is not consulted.
+    record carries, an error naming the token by its index, as is an
+    untagged record; the lexicon argument is not consulted. Each token is
+    counted under its `tally_of` key with the gold id given here, and the
+    report made from those counts by `report_of`, as `eval` makes it.
 
     Both arguments are consumed once, in step, so they may be
     generators. An error in an earlier token is reported before a
     length mismatch, which shows only when the shorter one runs out.
     """
-    n_open = n_unknown = fallbacks = 0
-    n_mono = n_poly = correct_mono = correct_poly = 0
+    counts: Counter[str] = Counter()
     pairs = zip_longest(results, gold, fillvalue=_END)
     for position, (tagged, gold_id) in enumerate(pairs):
         if tagged is _END or gold_id is _END:
@@ -79,63 +76,39 @@ def evaluate(
                 f"results/gold length mismatch: {n_results} results, {n_gold} gold ids"
             )
         record = tagged[1]
-        status = record.status
-        if status == "C":
-            continue
-        n_open += 1
-        if status == "U":
-            n_unknown += 1
-            continue
-        if status == "F":
-            fallbacks += 1
-        if gold_id is None:
-            continue
-        n_homographs = record.n_homographs
-        if not 1 <= gold_id <= n_homographs:
+        status, n_homographs = record.status, record.n_homographs
+        if status is None:
+            raise EvaluationError(f"token {tagged[0]} is not tagged")
+        # only a known open-class token has homographs to check a gold id against
+        if gold_id is not None and n_homographs and not 1 <= gold_id <= n_homographs:
             raise EvaluationError(
                 f"gold homograph id {gold_id} out of range 1..{n_homographs}"
                 f" for {normalize_key(record.lemma or record.surface)!r} (token {tagged[0]})"
             )
-        correct = record.homograph_id == gold_id
-        if n_homographs >= 2:
-            n_poly += 1
-            correct_poly += correct
-        else:
-            n_mono += 1
-            correct_mono += correct
-    return _report(n_open, n_unknown, n_mono, n_poly, correct_mono, correct_poly, fallbacks)
+        counts[tally_of(status, n_homographs, record.homograph_id, gold_id)] += 1
+    return report_of(counts)
 
 
-def _report(
-    n_open_class: int,
-    n_unknown: int,
-    n_mono: int,
-    n_poly: int,
-    correct_mono: int,
-    correct_poly: int,
-    fallback_count: int,
-) -> EvalReport:
-    """The report of these counts, with the ratios they give."""
+def report_of(counts: Mapping[str, int]) -> EvalReport:
+    """The report on tokens counted by their `tally_of` keys, with the ratios the counts give."""
+    totals = tally_totals(counts)
+    correct_mono, correct_poly = totals["mono right"], totals["poly right"]
+    n_mono = correct_mono + totals["mono wrong"]
+    n_poly = correct_poly + totals["poly wrong"]
     scored = n_mono + n_poly
     return EvalReport(
-        n_open_class=n_open_class,
-        n_unknown=n_unknown,
+        n_open_class=totals["U"] + totals["M"] + totals["F"],
+        n_unknown=totals["U"],
         n_mono=n_mono,
         n_poly=n_poly,
         correct_mono=correct_mono,
         correct_poly=correct_poly,
-        fallback_count=fallback_count,
+        fallback_count=totals["F"],
         accuracy_overall=(correct_mono + correct_poly) / scored if scored else None,
         accuracy_mono=correct_mono / n_mono if n_mono else None,
         accuracy_poly=correct_poly / n_poly if n_poly else None,
         poly_share=n_poly / scored if scored else None,
     )
-
-
-def _summed(reports: Iterable[EvalReport]) -> EvalReport:
-    """One report on a corpus from the reports on its parts: counts summed, ratios made again."""
-    reports = list(reports)
-    return _report(*(sum(getattr(report, name) for report in reports) for name in _COUNTS))
 
 
 def render_report(report: EvalReport, fmt: str = "text") -> str:

@@ -25,10 +25,10 @@ A token is its line's `LineRecord`, and its index is its position in
 its document's tokens. The record holds what the token's line says
 (surface, fine tag, lemma, gold id) and, once tagged, what the tagger
 made of it (coarse tag, status, homograph id, the word type's homograph
-count) and the rendered output line after the index. A status is its
-output letter, the string "C", "U", "M" or "F", from the tagger to the
-scorer and the summary line. A rendered token is its index followed by
-that tail.
+count, tally key) and the rendered output line after the index. A status
+is its output letter, the string "C", "U", "M" or "F", from the tagger
+to the summary line. A rendered token is its index followed by that
+tail. Both commands count tokens by tally key alone (`_tally_documents`).
 
 `tag_corpus` is the way to tag; every command takes it. It yields one
 tagged document at a time, so a caller that writes each document before
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, ContextManager, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CorpusError, UnmappedTagError
 from .lexicon import Lexicon, normalize_key
@@ -71,6 +71,9 @@ _MISSING = "-"
 # _make(Cls, fields) builds the NamedTuple Cls without running the
 # Python-level __new__ that calling Cls runs, about half the cost of a record
 _make = tuple.__new__
+# the tally keys of a token with a gold id, by status letter (see `tally_of`)
+_SCORES = ("unscored", "mono wrong", "mono right", "poly wrong", "poly right")
+_SCORED = {status: tuple(f"{status} {score}" for score in _SCORES) for status in "CUMF"}
 
 
 class LineRecord(NamedTuple):
@@ -84,7 +87,8 @@ class LineRecord(NamedTuple):
     token (status M or F), and 0 otherwise, so only those can be
     polyhomographic. coarse_tag is None only for an untagged line or,
     once tagged, an unmapped fine tag in lenient mode. tail is the
-    output line after the index.
+    output line after the index. tally is the line's `tally_of` key,
+    which scores its own gold id.
     """
 
     surface: str
@@ -96,6 +100,7 @@ class LineRecord(NamedTuple):
     homograph_id: int | None = None
     n_homographs: int = 0
     tail: str | None = None
+    tally: str | None = None
 
 
 @dataclass(frozen=True)
@@ -329,11 +334,45 @@ def _tagging_rule(
             f"\t{surface}\t{_MISSING if coarse is None else coarse}"
             f"\t{status}\t{_MISSING if homograph_id is None else homograph_id}\n"
         ) if render else None
+        tally = status if gold is None else tally_of(status, n_homographs, homograph_id, gold)
         return _make(
-            LineRecord, (surface, fine, lemma, gold, coarse, status, homograph_id, n_homographs, tail)
+            LineRecord,
+            (surface, fine, lemma, gold, coarse, status, homograph_id, n_homographs, tail, tally),
         )
 
     return tag
+
+
+def tally_of(status: str, n_homographs: int, homograph_id: int | None, gold: int | None) -> str:
+    """The key a tagged token is counted under: its status letter, then how its gold id scores.
+
+    That is the letter alone without a gold id; else the letter, a space and
+    "unscored" where the token has no homographs (C, U), or "mono" or "poly"
+    and "right" or "wrong". Each key is one object of a fixed set of 24.
+    """
+    if gold is None:
+        return status
+    keys = _SCORED[status]
+    if not n_homographs:
+        return keys[0]
+    return keys[1 + 2 * (n_homographs >= 2) + (homograph_id == gold)]
+
+
+def tally_totals(counts: Mapping[str, int]) -> Counter[str]:
+    """A tally's counts by `tally_of` key, totalled by status letter, by score and with a gold id.
+
+    totals["M"] counts the matched tokens, totals["poly right"] the
+    tokens scored right in the poly stratum, and totals["gold"] the
+    tokens with a gold id, scored or not.
+    """
+    totals: Counter[str] = Counter()
+    for key, count in counts.items():
+        status, _, score = key.partition(" ")
+        totals[status] += count
+        if score:
+            totals["gold"] += count
+            totals[score] += count
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +389,19 @@ def render_tokens(records: Iterable[LineRecord]) -> str:
     return "".join([f"{index}{record.tail}" for index, record in enumerate(records)])
 
 
-def status_counts(records: Iterable[LineRecord]) -> Counter[str]:
-    """Tally of tagged records' status letters, for run summaries."""
-    return Counter(map(attrgetter("status"), records))
+def _tally_documents(
+    documents: Iterable[Document], write: Callable[[str], Any] | None = None
+) -> tuple[Counter[str], int]:
+    """The count of each tally key among documents' tokens, and the number of documents.
+
+    Where write is given, each document's output lines are written
+    through it, without the header, before the next document is read.
+    """
+    counts: Counter[str] = Counter()
+    n_documents = 0
+    for document in documents:
+        if write is not None:
+            write(render_tokens(document.tokens))
+        counts.update(map(attrgetter("tally"), document.tokens))
+        n_documents += 1
+    return counts, n_documents

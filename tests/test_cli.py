@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from homograph_tagger import OUTPUT_HEADER, load_lexicon
-from homograph_tagger import _parts, cli
+from homograph_tagger import _parts, cli, pipeline
 from homograph_tagger.cli import main
 
 
@@ -499,7 +499,7 @@ def test_interrupted_tag_run_leaves_no_output_file(runner, fixtures_dir, tmp_pat
     def interrupt(results):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("homograph_tagger.cli.render_tokens", interrupt)
+    monkeypatch.setattr("homograph_tagger.pipeline.render_tokens", interrupt)
     result = invoke(
         runner, "tag",
         "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"),
@@ -519,8 +519,8 @@ def test_a_failed_run_whose_temporary_file_is_gone_reports_its_own_error(
             temporary.unlink()
         return render_tokens(results)
 
-    render_tokens = cli.render_tokens
-    monkeypatch.setattr(cli, "render_tokens", remove_temporary_first)
+    render_tokens = pipeline.render_tokens
+    monkeypatch.setattr(pipeline, "render_tokens", remove_temporary_first)
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("# doc: a\nbank\tNN\n\n# doc: b\nbad line\n", encoding="utf-8")
     result = invoke(
@@ -749,7 +749,7 @@ def test_a_run_leaves_the_garbage_collector_as_it_was(
             raise KeyboardInterrupt
 
         # click turns the interrupt into "Aborted!" and exit 1
-        monkeypatch.setattr("homograph_tagger.cli.render_tokens", interrupt)
+        monkeypatch.setattr("homograph_tagger.pipeline.render_tokens", interrupt)
     was_enabled = gc.isenabled()
     # start with nothing frozen (Python 3.12 starts with some), so that anything the run froze shows
     gc.unfreeze()
@@ -989,8 +989,8 @@ def test_an_interrupted_split_run_leaves_no_worker_and_no_file(
             raise KeyboardInterrupt
         return render_tokens(results)
 
-    render_tokens = cli.render_tokens
-    monkeypatch.setattr(cli, "render_tokens", interrupt)
+    render_tokens = pipeline.render_tokens
+    monkeypatch.setattr(pipeline, "render_tokens", interrupt)
     corpus = tmp_path / "c.tsv"
     corpus.write_text(_copies(fixtures_dir, 9), encoding="utf-8")
     out_dir = tmp_path / "out"
@@ -1105,6 +1105,30 @@ def _read_whole(runner, monkeypatch, args):
     result = invoke(runner, *args)
     monkeypatch.setattr(cli, "_usable_cpus", cpus)
     return result
+
+
+def test_eval_with_gold_only_on_closed_class_and_unknown_tokens_scores_nothing(
+    runner, fixtures_dir, tmp_path, monkeypatch, split_three_ways
+):
+    # every document has a gold id, but none on a token that has homographs to score
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(
+        "".join(f"# doc: d{n}\nthe\tDT\t\t{n}\nbank\tNN\nzzq\tNN\t\t2\n\n" for n in range(1, 7)),
+        encoding="utf-8",
+    )
+    args = ["eval", "--lexicon", fx(fixtures_dir, "pipeline_lexicon.jsonl"), "--corpus", corpus]
+    whole = _read_whole(runner, monkeypatch, args)
+    assert split_three_ways == []
+    split = invoke(runner, *args)
+    assert len(split_three_ways) == 2
+    for result in (whole, split):
+        assert result.exit_code == 0, result.stderr
+        assert "  scored:          0 (mono 0, poly 0)\n" in result.stdout
+        assert result.stdout.endswith("overall: n/a poly: n/a mono: n/a poly-share: n/a\n")
+        assert result.stderr == (
+            "tagged 18 tokens in 6 documents: 6 matched, 0 fallback, 6 unknown, 6 closed-class\n"
+        )
+    assert split.stdout == whole.stdout
 
 
 def test_a_split_run_that_cannot_start_a_worker_reads_the_corpus_whole(

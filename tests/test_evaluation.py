@@ -132,6 +132,13 @@ def test_gold_out_of_range_is_an_error(penn):
     assert str(exc_info.value) == "gold homograph id 3 out of range 1..2 for 'file' (token 0)"
 
 
+def test_an_untagged_token_is_an_error():
+    doc = Document("d", (tok("sofa", "NN"),))
+    with pytest.raises(EvaluationError) as exc_info:
+        evaluate(make_lexicon(), enumerate(doc.tokens), [None])
+    assert str(exc_info.value) == "token 0 is not tagged"
+
+
 def test_evaluate_does_not_consult_the_lexicon(mixed):
     # the results carry each token's homograph count, so the lexicon passed is not read
     lexicon, results, gold = mixed

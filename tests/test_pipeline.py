@@ -13,12 +13,12 @@ from homograph_tagger import (
     UnmappedTagError,
     read_corpus,
     render_output,
-    status_counts,
     tag_corpus,
     tag_document,
 )
 from homograph_tagger import _parts
 from homograph_tagger._parts import line_ends
+from homograph_tagger.pipeline import _tally_documents
 from support import make_entry, make_lexicon, tag_lines, tok, write_corpus
 
 
@@ -237,7 +237,17 @@ def test_tag_document_keeps_token_order(lex, penn):
     results = tag_document(lex, penn, doc)
     assert [r.status for _, r in results] == ["C", "M", "M"]
     assert [index for index, _ in results] == [0, 1, 2]
-    assert status_counts(r for _, r in results) == {"M": 2, "C": 1}
+    # a token with no gold id is tallied under its status letter alone
+    assert [r.tally for _, r in results] == ["C", "M", "M"]
+
+
+def test_distinct_gold_ids_leave_at_most_24_tally_keys(tmp_path, lex, penn):
+    # gold ids on closed-class and unknown tokens are not range-checked, so each line is distinct
+    text = "".join(f"the\tDT\t\t{n}\nzzq\tNN\t\t{n}\n\n" for n in range(1, 10_001))
+    counts, n_documents = _tally_documents(tag_corpus(lex, penn, write_corpus(tmp_path, text)))
+    assert n_documents == 10_000
+    assert counts == {"C unscored": 10_000, "U unscored": 10_000}
+    assert len(counts) <= 24
 
 
 def test_render_output_exact_format(lex, penn):

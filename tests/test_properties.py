@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import asdict
 from importlib.resources import files
 from unittest import mock
 from pathlib import Path
@@ -23,9 +24,11 @@ from homograph_tagger import (
     classify_word_type,
     default_tagmap,
     default_vocabulary,
+    evaluate,
     load_lexicon,
     render_report,
     render_taxonomy,
+    tag_corpus,
     tag_document,
 )
 from homograph_tagger import cli
@@ -437,7 +440,16 @@ def check_commands_against_the_oracles(
         report = json.loads(scored.stdout)
         counts = oracles.trace_counts(list(news_records.values()), *penn_table, token_lists)
         assert {name: report[name] for name in EVAL_COUNTS} == counts
-        # eval's summary line comes from its report, tag's from counting the tokens
+        # the library's scoring of each record against its own gold id is eval's
+        loaded = load_lexicon(lexicon)
+        records = [
+            record
+            for document in tag_corpus(loaded, default_tagmap(), corpus, render=False)
+            for record in document.tokens
+        ]
+        gold = [record.gold_homograph_id for record in records]
+        assert asdict(evaluate(loaded, enumerate(records), gold)) == report
+        # both summary lines come from one tally of the same tokens
         assert scored.stderr == tagged.stderr
     else:
         assert scored.exit_code == 1
