@@ -15,7 +15,10 @@ output lines to an anonymous temporary file. It sends back, as JSON over
 a pipe, where each document starts, its tally and number of documents,
 and the error that ended the part, if any. The parent tags the first
 part itself, then takes each worker's result in file order (`_results`),
-so a split run gives what a run that reads the corpus whole gives. A
+so a split run gives what a run that reads the corpus whole gives. The
+workers are forked before the parent tags a line, so each process
+builds, in its own memory, the homograph sequences of the lexicon that
+its own part reaches (see `lexicon.Lexicon`), and no other. A
 worker never writes to stdout or stderr and always ends with os._exit;
 the parent reaps every worker however the run ends, killing first those
 still running.

@@ -16,13 +16,12 @@ Every sense is checked at load, but a loaded homograph keeps only its
 coarse tags and its number of senses: no command reads a definition,
 and `analyze` only asks whether a word type has two or more senses.
 
-Each word type carries a tag table, `by_tag`, built once when the entry
-is made: coarse tag -> (id of the first homograph carrying the tag,
-number of homographs carrying it). The tagger reads the first element
-(one dict lookup per token instead of a scan of the homographs) and the
-taxonomy reads the second. Homographs are named tuples. An entry is a
-frozen dataclass whose by_tag is derived from its homographs when it is
-made, as a Lexicon's index is derived from its entries.
+Each homograph sequence has a tag table, `by_tag`: coarse tag -> (id
+of the first homograph carrying the tag, number of homographs carrying
+it). The tagger reads the first element (one dict lookup per token
+instead of a scan of the homographs) and the taxonomy reads the second.
+Homographs are named tuples. An entry is a frozen dataclass whose
+by_tag is derived from its homographs when it is made.
 
 A lexicon repeats a few values many times: the 50,000 word types of
 the benchmark's lexicon-large input hold 157,086 homographs, but only
@@ -34,11 +33,18 @@ key and the index of its sequence. It checks each record in one walk
 that also lists its values, keeping a table of the tag lists it has
 checked, the homographs and the sequences it has listed. One builder,
 `_lexicon_from_form`, makes every loaded lexicon from that form, inside
-`util.collector_paused`, building each distinct value once: entries of
-one loaded lexicon with equal homographs share one homographs tuple and
-one by_tag table, both read-only, and the tag tables share their pairs.
-What the loaded lexicon costs a caller whose cyclic garbage collector
-is on is told in `load_lexicon`.
+`util.collector_paused`: it runs every check on the form, builds the
+distinct homographs and the index, key -> sequence number, and stops.
+A `Lexicon` looks a key up in two steps, its sequence number, then that
+sequence's homographs tuple and tag table. A loaded lexicon builds
+those the first time a lookup or an iteration reaches the sequence, and
+its entries the first time they are read, so a run builds only what its
+tokens reach: the benchmark's 4,000-token tag run on lexicon-large
+reaches 725 of its 23,526 sequences. Each is built once and shared:
+entries of one loaded lexicon with equal homographs share one
+homographs tuple and one by_tag table, both read-only, and the tag
+tables share their pairs. What the loaded lexicon costs a caller whose
+cyclic garbage collector is on is told in `load_lexicon`.
 
 The form is also what an on-disk cache keeps, under a SHA-256 digest
 of the lexicon's bytes, so a later load of the same file reads the
@@ -48,10 +54,11 @@ lives and what it costs.
 
 `classify_word_type` returns the category's report name:
 "monohomographic", "guaranteed", "possible" or "no-disambiguation".
-`analyze_lexicon` counts those names, classifying each shared
-homographs tuple once for all the entries that share it (23,526
-sequences for lexicon-large's 50,000 word types), and `render_taxonomy`
-prints the percentages `analyze_lexicon` rounded once, as stored.
+`analyze_lexicon` counts those names, classifying each distinct
+homograph sequence once, weighted by the number of keys that have it
+(23,526 sequences for lexicon-large's 50,000 word types), and builds no
+entry. `render_taxonomy` prints the percentages `analyze_lexicon`
+rounded once, as stored.
 """
 
 from __future__ import annotations
@@ -67,8 +74,8 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from io import RawIOBase
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
+from threading import Lock
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
@@ -149,10 +156,10 @@ class WordTypeEntry:
 
     by_tag maps each coarse tag that some homograph carries to the id of
     the first homograph carrying it and the number carrying it. It is
-    derived from homographs in __post_init__, as Lexicon._index is from
-    entries, so it takes no part in equality, hashing or repr. Entries of
-    one loaded lexicon that have equal homographs share one homographs
-    tuple and one by_tag table, so treat both as read-only.
+    derived from homographs in __post_init__, so it takes no part in
+    equality, hashing or repr. Entries of one loaded lexicon that have
+    equal homographs share one homographs tuple and one by_tag table, so
+    treat both as read-only.
     """
 
     key: str
@@ -179,7 +186,6 @@ class WordTypeEntry:
         return sum(h.n_senses for h in self.homographs)
 
 
-_homographs_of = attrgetter("homographs")
 _set_key = WordTypeEntry.key.__set__
 _set_homographs = WordTypeEntry.homographs.__set__
 _set_by_tag = WordTypeEntry.by_tag.__set__
@@ -210,17 +216,103 @@ def _tag_table(homographs: tuple[Homograph, ...], pairs: _Pairs) -> dict[str, tu
 
 @dataclass(frozen=True)
 class Lexicon:
-    """An immutable, insertion-ordered homograph dictionary."""
+    """An immutable, insertion-ordered homograph dictionary.
+
+    Its index maps each key to the number of its homograph sequence, one
+    number per distinct homographs value. Slot number of its sequences
+    holds that sequence's homographs tuple, and the same slot of its
+    tables its tag table. `_build` builds the tuple and the table of a
+    number whose table slot is still None, keeps both and returns the
+    table, so a lookup reads `tables[number] or build(number)`, then
+    `sequences[number]`. A lexicon made from its entries has every slot
+    built, from the first entry with each value. A loaded one
+    (`_loaded`) builds each sequence the first time a lookup or an
+    iteration reaches it, and its entries the first time they are read;
+    two threads that first read the entries at once may each build a
+    tuple of equal entries. A lexicon compares, hashes, prints and
+    pickles by its vocabulary and entries.
+    """
 
     vocabulary: tuple[str, ...]
     entries: tuple[WordTypeEntry, ...]
-    _index: dict[str, WordTypeEntry] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _sequences: list = field(init=False, repr=False, compare=False)
+    _tables: list = field(init=False, repr=False, compare=False)
+    _build: Callable[[int], dict[str, tuple[int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {e.key: e for e in self.entries})
+        numbers: dict[tuple[Homograph, ...], int] = {}
+        index: dict[str, int] = {}
+        sequences, tables = [], []
+        for entry in self.entries:
+            if entry.key in index:
+                raise ValueError(f"duplicate word type key {entry.key!r}")
+            number = index[entry.key] = numbers.setdefault(entry.homographs, len(numbers))
+            if number == len(sequences):
+                sequences.append(entry.homographs)
+                tables.append(entry.by_tag)
+        for name, value in (
+            ("_index", index), ("_sequences", sequences), ("_tables", tables),
+            # every table is built
+            ("_build", tables.__getitem__),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _loaded(
+        cls,
+        vocabulary: tuple[str, ...],
+        index: dict[str, int],
+        homographs: list[Homograph],
+        sequences: list[list[int]],
+    ) -> Lexicon:
+        """The lexicon whose index numbers sequences, each a list of indexes into homographs.
+
+        Nothing is built yet. Building a number replaces its list by the
+        tuple of the homographs it names, then sets its tag table; the
+        tables of one lexicon share one table of (first, count) pairs.
+        """
+        lexicon = object.__new__(cls)
+        tables: list[dict[str, tuple[int, int]] | None] = [None] * len(sequences)
+        tag_pairs = _Pairs()
+        # two threads that reach one sequence at once build it once: a lookup reads
+        # the table before the sequence, so the table is set last
+        lock = Lock()
+
+        def build(number: int) -> dict[str, tuple[int, int]]:
+            with lock:
+                table = tables[number]
+                if table is None:
+                    sequence = sequences[number] = tuple(map(homographs.__getitem__, sequences[number]))
+                    table = tables[number] = _tag_table(sequence, tag_pairs)
+            return table
+
+        for name, value in (
+            ("vocabulary", vocabulary), ("_index", index), ("_sequences", sequences),
+            ("_tables", tables), ("_build", build),
+        ):
+            object.__setattr__(lexicon, name, value)
+        return lexicon
+
+    def __getattr__(self, name: str):
+        # only a loaded lexicon's entries are ever missing, until they are first read
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sequences, tables, build = self._sequences, self._tables, self._build
+        shared = WordTypeEntry._shared
+        entries = []
+        for key, number in self._index.items():
+            by_tag = tables[number] or build(number)
+            entries.append(shared(key, sequences[number], by_tag))
+        entries = tuple(entries)
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+    def __reduce__(self):
+        return type(self), (self.vocabulary, self.entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._index)
 
     def __iter__(self) -> Iterator[WordTypeEntry]:
         return iter(self.entries)
@@ -242,12 +334,13 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     Every load builds its lexicon one way: the file, or the cache file
     that holds it, gives a compact form (the distinct homographs, the
     distinct homograph sequences as lists of indexes, and each entry's
-    key and sequence index), and `_lexicon_from_form` builds the lexicon
-    from that form. Each distinct homograph, homograph sequence and tag
-    table is built once per call and shared by every entry that has it,
-    so entries with equal homographs share one homographs tuple and one
-    by_tag table, and `analyze_lexicon` classifies each shared sequence
-    once.
+    key and sequence index), and `_lexicon_from_form` checks that form
+    and builds the lexicon's index from it. Each distinct homograph
+    sequence and its tag table are built once, the first time a lookup
+    or an iteration reaches them, and shared by every entry that has
+    them, so entries with equal homographs share one homographs tuple
+    and one by_tag table. The entries are built the first time they are
+    read, and `len()` reads the index.
 
     A lexicon loaded from a regular file is cached, so that the next
     load of the same bytes need not decode its JSON again. After a
@@ -260,7 +353,8 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     load of the same bytes hashes the file in chunks, reads and checks
     the cached form and builds an equal lexicon with the same sharing,
     decoding no definition: on the benchmark's 50,000-type lexicon-large
-    input (37 MB), about 0.2 s instead of about 0.7-0.9 s. The first,
+    input (37 MB), about 0.06 s in process, half of it hashing the file,
+    instead of about 0.7-0.9 s. The first,
     cold load of a file costs more than a load without the cache, since
     it hashes the file before it parses it and then writes the form:
     about 0.1 s more on lexicon-large, a tenth of its load.
@@ -281,9 +375,12 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     inside the same pause (see `cli`). A library caller whose collector
     is on pays as the lexicon ages through the collector's generations:
     a generation-0, a generation-1 and a full collection each scan all
-    of it, and so does every later full one. Sharing keeps that scan
-    small: a load tracks about two objects per word type, and each such
-    pass over a 50,000-type lexicon takes about 0.02-0.03 s. The lexicon
+    of it, and so does every later full one. Building late keeps that
+    scan small: a load tracks about one object per distinct sequence,
+    its list of indexes (about 23,800 objects for the 23,526 sequences
+    of lexicon-large at seed 1). A full collection over it takes about
+    0.01 s, against 0.02-0.03 s with every entry built, and each sequence
+    a run reaches adds its tuple and its table. The lexicon
     holds no reference cycles, so no collection can free any of it: a
     caller that keeps it for the rest of the process can freeze it
     (`gc.freeze()`) before the next collection, so that no later one
@@ -462,8 +559,11 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
     it, so a form that is malformed, names a tag outside vocab, points
     past its lists, has no entries, or repeats a key or holds one not
     normalized gives None, never a wrong lexicon; a parsed form passes
-    by construction. The parts are taken out of form and each is dropped
-    once used, so that the build reuses the memory it frees.
+    by construction. It builds the distinct homographs and the index,
+    key -> sequence number, and leaves each sequence to be built when
+    first reached (`Lexicon._loaded`). The parts are taken out of form,
+    so that the keys and their sequence numbers are freed once the index
+    holds them.
     """
     if type(form) is not dict:
         return None
@@ -498,23 +598,11 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
     # str.lower is normalize_key, mapped without a Python call per key
     if not all(map(str.__eq__, map(str.lower, keys), keys)):
         return None
-    pairs = _Pairs()
-    tables = []
-    # in place, so that each list of indexes is freed as its sequence is made, and
-    # the sequences and tag tables reuse that memory instead of raising the peak
-    for position, item in enumerate(raw_sequences):
-        sequence = raw_sequences[position] = tuple(map(homographs.__getitem__, item))
-        tables.append(_tag_table(sequence, pairs))
-    sequences = raw_sequences
-    del raw_sequences, pairs
-    shared = WordTypeEntry._shared
-    entries = tuple([
-        shared(key, sequences[index], tables[index]) for key, index in zip(keys, sequence_of)
-    ])
-    del keys, sequence_of, sequences, tables
-    lexicon = Lexicon(vocabulary=vocab, entries=entries)
-    # a repeated key would leave the index shorter than the entries
-    return lexicon if len(lexicon._index) == len(entries) else None
+    index = dict(zip(keys, sequence_of))
+    # a repeated key leaves the index shorter than the keys
+    if len(index) != len(keys):
+        return None
+    return Lexicon._loaded(vocab, index, homographs, raw_sequences)
 
 
 def _indexes_below(values: list, bound: int) -> bool:
@@ -668,9 +756,14 @@ def classify_word_type(entry: WordTypeEntry) -> str:
     (possible). Word types with one homograph are trivial
     (monohomographic).
     """
-    if len(entry.homographs) == 1:
+    return _category(entry.homographs, entry.by_tag)
+
+
+def _category(homographs: tuple[Homograph, ...], by_tag: dict[str, tuple[int, int]]) -> str:
+    """`classify_word_type` of a word type with these homographs and this tag table."""
+    if len(homographs) == 1:
         return "monohomographic"
-    counts = [count for _, count in entry.by_tag.values()]
+    counts = [count for _, count in by_tag.values()]
     if max(counts) <= 1:
         return "guaranteed"
     if min(counts) >= 2:
@@ -711,31 +804,33 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
     """Aggregate the four-way classification over a whole lexicon.
 
     A word type's category, sense count and collisions all follow from
-    its homographs, so entries that share one homographs tuple, as a
-    loaded lexicon's entries with equal homographs do, are counted
-    together: each shared tuple is classified once and weighted by the
-    number of entries that share it.
+    its homographs, so the word types of one homograph sequence are
+    counted together: each distinct sequence is classified once, from
+    its homographs and tag table, and weighted by the number of keys the
+    index gives it. No entry is built, only the sequences not built yet.
     """
     # load_lexicon rejects an empty file; a Lexicon made by hand may still be empty
-    if not lexicon.entries:
+    if not lexicon._index:
         raise LexiconError("cannot analyze an empty lexicon")
-    # entries are alive for the whole call, so the id of a homographs tuple names it
-    shares = Counter(map(id, map(_homographs_of, lexicon.entries)))
+    sequences, tables, build = lexicon._sequences, lexicon._tables, lexicon._build
+    weights = [0] * len(sequences)
+    for number in lexicon._index.values():
+        weights[number] += 1
     by_category: Counter[str] = Counter()
     n_polysemous = 0
     collisions: Counter[str] = Counter()
-    for entry in lexicon.entries:
-        # the first entry with a tuple counts for every entry that shares it
-        weight = shares.pop(id(entry.homographs), 0)
+    for number, weight in enumerate(weights):
         if not weight:
             continue
-        by_category[classify_word_type(entry)] += weight
-        if entry.sense_count() >= 2:
+        by_tag = tables[number] or build(number)
+        homographs = sequences[number]
+        by_category[_category(homographs, by_tag)] += weight
+        if sum(h.n_senses for h in homographs) >= 2:
             n_polysemous += weight
-        for tag, (_, count) in entry.by_tag.items():
+        for tag, (_, count) in by_tag.items():
             if count >= 2:
                 collisions[tag] += weight
-    n = len(lexicon.entries)
+    n = len(lexicon._index)
     n_mono = by_category["monohomographic"]
     # every entry has at least one homograph
     n_polyhomographic = n - n_mono

@@ -45,9 +45,10 @@ line that fails is never stored, so an error always names the line
 where it occurs.
 
 Tagging a line is one lookup of its fine tag, one lowercased lookup of
-its word type and one lookup of the coarse tag in that word type's
-`by_tag` table (see `lexicon`), which holds the first homograph carrying
-each tag.
+its word type's sequence number and one lookup of the coarse tag in that
+sequence's `by_tag` table (see `lexicon.Lexicon`), which holds the first
+homograph carrying each tag; a loaded lexicon builds the table the first
+time a line reaches it.
 """
 
 from __future__ import annotations
@@ -313,6 +314,7 @@ def _tagging_rule(
     open_class = mapping.open_class
     proper = mapping.proper_tags if skip_proper else frozenset()
     find = lexicon._index.get
+    sequences, tables, build = lexicon._sequences, lexicon._tables, lexicon._build
 
     def tag(surface: str, fine: str, lemma: str | None, gold: int | None) -> LineRecord | None:
         coarse = coarse_of(fine)
@@ -323,12 +325,12 @@ def _tagging_rule(
                 return None
             status = "C"
         else:
-            entry = find(normalize_key(lemma or surface))
-            if entry is None:
+            number = find(normalize_key(lemma or surface))
+            if number is None:
                 status = "U"
             else:
-                n_homographs = len(entry.homographs)
-                hit = entry.by_tag.get(coarse)
+                hit = (tables[number] or build(number)).get(coarse)
+                n_homographs = len(sequences[number])
                 status, homograph_id = ("F", 1) if hit is None else ("M", hit[0])
         tail = (
             f"\t{surface}\t{_MISSING if coarse is None else coarse}"

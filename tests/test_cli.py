@@ -1107,6 +1107,51 @@ def _read_whole(runner, monkeypatch, args):
     return result
 
 
+# three word types of one, two and three homographs, each its own sequence
+_THREE_SEQUENCES = "".join(
+    json.dumps({"word": word, "homographs": [{"pos": ["n"], "senses": [{"def": "d"}]}] * n}) + "\n"
+    for n, word in enumerate(["alpha", "bravo", "gamma"], start=1)
+)
+
+
+@pytest.mark.parametrize("gold", [3, 4], ids=["in-range", "out-of-range"])
+def test_split_workers_build_the_sequences_their_parts_reach(
+    runner, tmp_path, monkeypatch, split_three_ways, gold
+):
+    # one document per part, each reaching one word type; gamma's, in the last part,
+    # has a gold id that only the worker that builds its sequence can check. A part
+    # starts after the first document end whose last line starts past its share of
+    # the corpus, so the first document is the longest
+    lexicon_path = tmp_path / "lex.jsonl"
+    lexicon_path.write_text(_THREE_SEQUENCES, encoding="utf-8")
+    corpus = tmp_path / "c.tsv"
+    documents = [("alpha", "the\tDT\n" * 4, 1), ("bravo", "", 2), ("gamma", "", gold)]
+    corpus.write_text(
+        "".join(f"# doc: {word}\n{more}{word}\tNN\t\t{n}\nthe\tDT\n\n" for word, more, n in documents),
+        encoding="utf-8",
+    )
+    loaded = []
+
+    def recorded(*args):
+        loaded.append(load_lexicon(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_lexicon", recorded)
+    for command in ("tag", "eval"):
+        args = [command, "--lexicon", lexicon_path, "--corpus", corpus]
+        whole = _read_whole(runner, monkeypatch, args)
+        forks = len(split_three_ways)
+        split = invoke(runner, *args)
+        assert len(split_three_ways) == forks + 2
+        assert (split.exit_code, split.stdout, split.stderr) == (whole.exit_code, whole.stdout, whole.stderr)
+        # the run in one process built every sequence it reached; the split run's own
+        # process built only alpha's, and the workers the rest
+        assert [sum(t is not None for t in lexicon._tables) for lexicon in loaded[-2:]] == [3, 1]
+    assert whole.exit_code == (0 if gold == 3 else 1)
+    if gold == 4:
+        assert whole.stderr == f"error: {corpus}:14: gold homograph id 4 out of range 1..3 for 'gamma'\n"
+
+
 def test_eval_with_gold_only_on_closed_class_and_unknown_tokens_scores_nothing(
     runner, fixtures_dir, tmp_path, monkeypatch, split_three_ways
 ):

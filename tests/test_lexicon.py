@@ -4,6 +4,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
@@ -334,6 +335,85 @@ def test_entries_and_lexicons_hash_and_rebuild_their_tag_table(fixtures_dir):
         replace(entry, by_tag={})
     with pytest.raises(FrozenInstanceError):
         entry.homographs = reordered.homographs
+
+
+def built(lexicon):
+    """The number of the lexicon's homograph sequences built so far."""
+    return sum(table is not None for table in lexicon._tables)
+
+
+def test_a_loaded_lexicon_builds_only_what_is_reached(tmp_path, cold_cache, fixtures_dir, penn):
+    path = fixtures_dir / "pipeline_lexicon.jsonl"
+    records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    made = make_lexicon(*[
+        make_entry(
+            record["word"].lower(),
+            *[h["pos"] for h in record["homographs"]],
+            senses=[len(h["senses"]) for h in record["homographs"]],
+        )
+        for record in records
+    ])
+    for lexicon in load_each_way(path).values():
+        assert len(lexicon) == len(records)
+        assert built(lexicon) == 0 and "entries" not in vars(lexicon)
+        # the lines reach two word types, so at most two sequences are built
+        lines = [("bank", "NN"), ("banks", "VBZ", "bank"), ("said", "VBD", "say"), ("zzq", "NN")]
+        assert [r.status for r in tag_lines(tmp_path, lexicon, penn, *lines)] == ["M", "M", "M", "U"]
+        assert 1 <= built(lexicon) <= 2 and "entries" not in vars(lexicon)
+        # equality reads the entries, which are built then and kept
+        assert lexicon == made and made == lexicon and hash(lexicon) == hash(made)
+        assert "entries" in vars(lexicon)
+        assert lexicon == made and list(lexicon) == list(made.entries)
+        assert built(lexicon) == len(lexicon._sequences)
+    # a lexicon pickled before and after its entries are read restores equal
+    fresh = load_lexicon(path)
+    assert pickle.loads(pickle.dumps(fresh)) == made
+    assert pickle.loads(pickle.dumps(fresh)) == fresh
+    assert replace(load_lexicon(path), vocabulary=made.vocabulary) == made
+
+
+def test_threads_that_reach_a_sequence_at_once_build_it_once(tmp_path):
+    # more threads than CPUs, switching often, released together to reach every sequence in one order
+    path = tmp_path / "lex.jsonl"
+    tags = ["n", "v", "adj", "adv"]
+    write_jsonl(path, [
+        {"word": f"w{i}", "homographs": [
+            {"pos": [tags[(i >> (2 * k)) % 4]], "senses": [{"def": "d"}] * (1 + (i >> k) % 2)}
+            for k in range(1 + i % 4)
+        ]}
+        for i in range(400)
+    ])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # a race is not lost every time: each round reaches a fresh lexicon
+        for _ in range(10):
+            lexicon = load_lexicon(path)
+            numbers = sorted(set(lexicon._index.values()))
+            seen = [None] * 8
+            start = threading.Barrier(len(seen))
+
+            def reach(slot):
+                start.wait(timeout=60)
+                seen[slot] = {n: lexicon._tables[n] or lexicon._build(n) for n in numbers}
+
+            threads = [threading.Thread(target=reach, args=(slot,)) for slot in range(len(seen))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for n in numbers:
+                assert len({id(tables[n]) for tables in seen}) == 1
+                assert seen[0][n] is lexicon._tables[n] and type(lexicon._sequences[n]) is tuple
+    finally:
+        sys.setswitchinterval(interval)
+    assert lexicon == load_lexicon(path)
+
+
+def test_a_lexicon_made_by_hand_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match="duplicate word type key 'bank'"):
+        make_lexicon(make_entry("bank", ("n",)), make_entry("sofa", ("n",)), make_entry("bank", ("v",)))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,19 @@ def test_analysis_matches_the_recount_oracle(tmp_path, entries):
         assert analyze_lexicon(lexicon) == report
 
 
+@given(lexicon_entries())
+def test_analysis_groups_equal_homographs_not_identical_objects(entries):
+    # each entry with a homographs tuple of its own: equal tuples are distinct objects
+    copies = [WordTypeEntry(e.key, tuple(list(e.homographs))) for e in entries]
+    assert len({id(e.homographs) for e in copies}) == len(copies)
+    lexicon = make_lexicon(*copies)
+    # one sequence per distinct homographs value, weighted by its keys
+    assert len(lexicon._sequences) == len({e.homographs for e in copies})
+    report = analyze_lexicon(lexicon)
+    assert asdict(report) == oracles.taxonomy_recount(as_records(copies))
+    assert report == analyze_lexicon(make_lexicon(*entries))
+
+
 # ---------------------------------------------------------------------------
 # loading
 
