@@ -16,35 +16,33 @@ Every sense is checked at load, but a loaded homograph keeps only its
 coarse tags and its number of senses: no command reads a definition,
 and `analyze` only asks whether a word type has two or more senses.
 
-Each homograph sequence has a tag table, `by_tag`: coarse tag -> (id
-of the first homograph carrying the tag, number of homographs carrying
-it). The tagger reads the first element (one dict lookup per token
-instead of a scan of the homographs) and the taxonomy reads the second.
-Homographs are named tuples. An entry is a frozen dataclass whose
-by_tag is derived from its homographs when it is made.
+Each homograph sequence has a tag table: coarse tag -> (id of the
+first homograph carrying the tag, number of homographs carrying it).
+The tagger reads the first element (one dict lookup per token instead
+of a scan of the homographs) and the taxonomy reads the second. The
+table is a fact about the sequence, so a lexicon keeps one per
+distinct sequence. Homographs and entries are named tuples.
 
 A lexicon repeats a few values many times: the 50,000 word types of
 the benchmark's lexicon-large input hold 157,086 homographs, but only
-172 distinct ones and 23,526 distinct homograph sequences. So the
-loader parses a file into a compact form that lists each distinct
-value once: the distinct homographs as [pos, n_senses], the distinct
-homograph sequences as lists of indexes into those, and each entry's
-key and the index of its sequence. It checks each record in one walk
-that also lists its values, keeping a table of the tag lists it has
-checked, the homographs and the sequences it has listed. One builder,
-`_lexicon_from_form`, makes every loaded lexicon from that form, inside
-`util.collector_paused`: it runs every check on the form, builds the
-distinct homographs and the index, key -> sequence number, and stops.
-A `Lexicon` looks a key up in two steps, its sequence number, then that
-sequence's homographs tuple and tag table. A loaded lexicon builds
-those the first time a lookup or an iteration reaches the sequence, and
-its entries the first time they are read, so a run builds only what its
-tokens reach: the benchmark's 4,000-token tag run on lexicon-large
-reaches 725 of its 23,526 sequences. Each is built once and shared:
-entries of one loaded lexicon with equal homographs share one
-homographs tuple and one by_tag table, both read-only, and the tag
-tables share their pairs. What the loaded lexicon costs a caller whose
-cyclic garbage collector is on is told in `load_lexicon`.
+172 distinct ones and 23,526 distinct homograph sequences. So every
+lexicon is made from a compact form that lists each distinct value
+once: the distinct homographs, the distinct homograph sequences as
+lists of indexes into those, and each key's sequence number. The
+loader parses a file into it, checking each record in one walk that
+also lists its values; `_lexicon_from_form` checks a loaded form, and
+`Lexicon(vocabulary, entries)` lists its entries' values, checking
+each as a load does. Both reach one setup, `Lexicon._setup`, which
+builds nothing more. A lexicon looks a key up in two steps, its
+sequence number, then that sequence's homographs tuple and tag table,
+which it builds the first time a lookup or an iteration reaches the
+sequence, and its entries the first time they are read, so a run
+builds only what its tokens reach: the benchmark's 4,000-token tag run
+on lexicon-large reaches 725 of its 23,526 sequences. Each is built
+once and shared: entries with equal homographs share one homographs
+tuple, and the tag tables share their pairs. What a loaded lexicon
+costs a caller whose cyclic garbage collector is on is told in
+`load_lexicon`.
 
 The form is also what an on-disk cache keeps, under a SHA-256 digest
 of the lexicon's bytes, so a later load of the same file reads the
@@ -70,12 +68,12 @@ import stat
 import sys
 from collections import Counter
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache
 from io import RawIOBase
 from itertools import chain
 from pathlib import Path
-from threading import Lock
+from threading import RLock
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
@@ -150,45 +148,19 @@ class Homograph(NamedTuple):
     n_senses: int
 
 
-@dataclass(frozen=True, slots=True)
-class WordTypeEntry:
-    """A normalized headword, its ordered homographs and its tag table.
+class WordTypeEntry(NamedTuple):
+    """A normalized headword and its ordered homographs.
 
-    by_tag maps each coarse tag that some homograph carries to the id of
-    the first homograph carrying it and the number carrying it. It is
-    derived from homographs in __post_init__, so it takes no part in
-    equality, hashing or repr. Entries of one loaded lexicon that have
-    equal homographs share one homographs tuple and one by_tag table, so
-    treat both as read-only.
+    Entries of one lexicon that have equal homographs share one
+    homographs tuple, so treat it as read-only. The tag table of the
+    homographs is the lexicon's, one per distinct sequence (see `Lexicon`).
     """
 
     key: str
     homographs: tuple[Homograph, ...]
-    by_tag: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "by_tag", _tag_table(self.homographs, _Pairs()))
-
-    @classmethod
-    def _shared(
-        cls, key: str, homographs: tuple[Homograph, ...], by_tag: dict[str, tuple[int, int]]
-    ) -> WordTypeEntry:
-        """An entry whose by_tag, already built from homographs, is shared, not derived again."""
-        entry = object.__new__(cls)
-        # the slots' own setters, which a frozen class's __setattr__ would refuse
-        # and object.__setattr__ would look up by name for every field
-        _set_key(entry, key)
-        _set_homographs(entry, homographs)
-        _set_by_tag(entry, by_tag)
-        return entry
 
     def sense_count(self) -> int:
         return sum(h.n_senses for h in self.homographs)
-
-
-_set_key = WordTypeEntry.key.__set__
-_set_homographs = WordTypeEntry.homographs.__set__
-_set_by_tag = WordTypeEntry.by_tag.__set__
 
 
 class _Pairs(dict):
@@ -206,78 +178,80 @@ class _Pairs(dict):
 
 def _tag_table(homographs: tuple[Homograph, ...], pairs: _Pairs) -> dict[str, tuple[int, int]]:
     """coarse tag -> (id of the first homograph carrying it, number of homographs carrying it)."""
-    by_tag: dict[str, tuple[int, int]] = {}
+    table: dict[str, tuple[int, int]] = {}
     for homograph_id, (pos, _) in enumerate(homographs, start=1):
         for tag in pos:
-            pair = by_tag.get(tag)
-            by_tag[tag] = pairs[homograph_id if pair is None else pair]
-    return by_tag
+            pair = table.get(tag)
+            table[tag] = pairs[homograph_id if pair is None else pair]
+    return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lexicon:
     """An immutable, insertion-ordered homograph dictionary.
 
     Its index maps each key to the number of its homograph sequence, one
     number per distinct homographs value. Slot number of its sequences
-    holds that sequence's homographs tuple, and the same slot of its
-    tables its tag table. `_build` builds the tuple and the table of a
-    number whose table slot is still None, keeps both and returns the
-    table, so a lookup reads `tables[number] or build(number)`, then
-    `sequences[number]`. A lexicon made from its entries has every slot
-    built, from the first entry with each value. A loaded one
-    (`_loaded`) builds each sequence the first time a lookup or an
-    iteration reaches it, and its entries the first time they are read;
-    two threads that first read the entries at once may each build a
-    tuple of equal entries. A lexicon compares, hashes, prints and
-    pickles by its vocabulary and entries.
+    holds that sequence's list of indexes into the distinct homographs
+    until it is built, then its homographs tuple, and the same slot of
+    its tables None, then its tag table. `_build` builds the tuple and
+    the table of a number whose table slot is still None, keeps both and
+    returns the table, so a lookup reads `tables[number] or
+    build(number)`, then `sequences[number]`. The entries are built the
+    first time they are read. One lock guards both, so threads that
+    reach a sequence, or first read the entries, at once build it once.
+    A lexicon compares, hashes, prints and pickles by its vocabulary and
+    entries.
     """
 
     vocabulary: tuple[str, ...]
     entries: tuple[WordTypeEntry, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _sequences: list = field(init=False, repr=False, compare=False)
-    _tables: list = field(init=False, repr=False, compare=False)
-    _build: Callable[[int], dict[str, tuple[int, int]]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, vocabulary: Iterable[str], entries: Iterable[WordTypeEntry]):
+        """The lexicon of entries, their values listed as a load lists them and checked as it checks them.
+
+        The first fault, such as a key not normalized or a tag not in
+        vocabulary, raises a ValueError that names the key.
+        """
+        vocabulary = tuple(vocabulary)
+        known = frozenset(vocabulary)
+        listed: dict[Homograph, int] = {}
         numbers: dict[tuple[Homograph, ...], int] = {}
+        sequences: list[list[int]] = []
         index: dict[str, int] = {}
-        sequences, tables = [], []
-        for entry in self.entries:
-            if entry.key in index:
-                raise ValueError(f"duplicate word type key {entry.key!r}")
-            number = index[entry.key] = numbers.setdefault(entry.homographs, len(numbers))
-            if number == len(sequences):
-                sequences.append(entry.homographs)
-                tables.append(entry.by_tag)
-        for name, value in (
-            ("_index", index), ("_sequences", sequences), ("_tables", tables),
-            # every table is built
-            ("_build", tables.__getitem__),
-        ):
-            object.__setattr__(self, name, value)
+        for key, homographs in entries:
+            if key in index:
+                raise ValueError(f"duplicate word type key {key!r}")
+            if type(key) is not str or not key or normalize_key(key) != key:
+                raise ValueError(f"word type key {key!r} is not a non-empty lowercase string")
+            if not homographs:
+                raise ValueError(f"{key!r}: no homographs")
+            number = index[key] = numbers.setdefault(homographs, len(numbers))
+            if number < len(sequences):
+                continue
+            for position, homograph in enumerate(homographs, start=1):
+                if homograph not in listed:
+                    problem = _homograph_problem(homograph.pos, homograph.n_senses, known)
+                    if problem is not None:
+                        raise ValueError(f"{key!r}: homograph {position}: {problem}")
+                    listed[homograph] = len(listed)
+            sequences.append(list(map(listed.__getitem__, homographs)))
+        self._setup(vocabulary, index, list(listed), sequences)
 
-    @classmethod
-    def _loaded(
-        cls,
-        vocabulary: tuple[str, ...],
-        index: dict[str, int],
-        homographs: list[Homograph],
-        sequences: list[list[int]],
+    def _setup(
+        self, vocabulary: tuple[str, ...], index: dict[str, int], homographs: list, sequences: list
     ) -> Lexicon:
-        """The lexicon whose index numbers sequences, each a list of indexes into homographs.
+        """Keep the parts of a lexicon whose index numbers lists of indexes into homographs; return self.
 
         Nothing is built yet. Building a number replaces its list by the
         tuple of the homographs it names, then sets its tag table; the
         tables of one lexicon share one table of (first, count) pairs.
         """
-        lexicon = object.__new__(cls)
         tables: list[dict[str, tuple[int, int]] | None] = [None] * len(sequences)
         tag_pairs = _Pairs()
-        # two threads that reach one sequence at once build it once: a lookup reads
-        # the table before the sequence, so the table is set last
-        lock = Lock()
+        # a lookup reads the table before the sequence, so the table is set last;
+        # reentrant, since the entries are built by building every sequence
+        lock = RLock()
 
         def build(number: int) -> dict[str, tuple[int, int]]:
             with lock:
@@ -289,23 +263,24 @@ class Lexicon:
 
         for name, value in (
             ("vocabulary", vocabulary), ("_index", index), ("_sequences", sequences),
-            ("_tables", tables), ("_build", build),
+            ("_tables", tables), ("_build", build), ("_lock", lock),
         ):
-            object.__setattr__(lexicon, name, value)
-        return lexicon
+            object.__setattr__(self, name, value)
+        return self
 
     def __getattr__(self, name: str):
-        # only a loaded lexicon's entries are ever missing, until they are first read
+        # only the entries are ever missing, until they are first read
         if name != "entries":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        sequences, tables, build = self._sequences, self._tables, self._build
-        shared = WordTypeEntry._shared
-        entries = []
-        for key, number in self._index.items():
-            by_tag = tables[number] or build(number)
-            entries.append(shared(key, sequences[number], by_tag))
-        entries = tuple(entries)
-        object.__setattr__(self, "entries", entries)
+        with self._lock:
+            entries = self.__dict__.get("entries")
+            if entries is None:
+                index, sequences, build = self._index, self._sequences, self._build
+                for number, table in enumerate(self._tables):
+                    if table is None:
+                        build(number)
+                entries = tuple(map(WordTypeEntry, index, map(sequences.__getitem__, index.values())))
+                object.__setattr__(self, "entries", entries)
         return entries
 
     def __reduce__(self):
@@ -337,10 +312,10 @@ def load_lexicon(path: str | Path, vocabulary: Iterable[str] | None = None) -> L
     key and sequence index), and `_lexicon_from_form` checks that form
     and builds the lexicon's index from it. Each distinct homograph
     sequence and its tag table are built once, the first time a lookup
-    or an iteration reaches them, and shared by every entry that has
-    them, so entries with equal homographs share one homographs tuple
-    and one by_tag table. The entries are built the first time they are
-    read, and `len()` reads the index.
+    or an iteration reaches them: keys with equal homographs share one
+    sequence number, and so one homographs tuple and one tag table. The
+    entries are built the first time they are read, and `len()` reads
+    the index.
 
     A lexicon loaded from a regular file is cached, so that the next
     load of the same bytes need not decode its JSON again. After a
@@ -541,6 +516,15 @@ def _tag_list_problem(pos: list, vocab: frozenset[str]) -> str | None:
     return None
 
 
+def _homograph_problem(pos, n_senses: object, vocab: frozenset[str]) -> str | None:
+    """Why a listed homograph fails (no tags, a bad tag list or fewer than one sense), or None."""
+    if not pos:
+        return "no pos tags"
+    if type(n_senses) is not int or n_senses < 1:
+        return f"number of senses {n_senses!r} is not an int of at least 1"
+    return _tag_list_problem(pos, vocab)
+
+
 def _homograph_error(
     source: str, lineno: int, word: str, position: int, message: str
 ) -> LexiconError:
@@ -561,7 +545,7 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
     normalized gives None, never a wrong lexicon; a parsed form passes
     by construction. It builds the distinct homographs and the index,
     key -> sequence number, and leaves each sequence to be built when
-    first reached (`Lexicon._loaded`). The parts are taken out of form,
+    first reached (`Lexicon._setup`). The parts are taken out of form,
     so that the keys and their sequence numbers are freed once the index
     holds them.
     """
@@ -580,9 +564,7 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
         if type(item) is not list or len(item) != 2:
             return None
         pos, n_senses = item
-        if type(pos) is not list or not pos or type(n_senses) is not int or n_senses < 1:
-            return None
-        if _tag_list_problem(pos, known) is not None:
+        if type(pos) is not list or _homograph_problem(pos, n_senses, known) is not None:
             return None
         tags = tuple(pos)
         homographs.append(Homograph(tag_lists.setdefault(tags, tags), n_senses))
@@ -602,7 +584,7 @@ def _lexicon_from_form(form: object, vocab: tuple[str, ...]) -> Lexicon | None:
     # a repeated key leaves the index shorter than the keys
     if len(index) != len(keys):
         return None
-    return Lexicon._loaded(vocab, index, homographs, raw_sequences)
+    return object.__new__(Lexicon)._setup(vocab, index, homographs, raw_sequences)
 
 
 def _indexes_below(values: list, bound: int) -> bool:
@@ -754,16 +736,17 @@ def classify_word_type(entry: WordTypeEntry) -> str:
     if every count is 2 or more, no tag ever does (no-disambiguation);
     a mixture means some tags decide the homograph and some do not
     (possible). Word types with one homograph are trivial
-    (monohomographic).
+    (monohomographic). The counts come from the tag table of the
+    entry's homographs.
     """
-    return _category(entry.homographs, entry.by_tag)
+    return _category(entry.homographs, _tag_table(entry.homographs, _Pairs()))
 
 
-def _category(homographs: tuple[Homograph, ...], by_tag: dict[str, tuple[int, int]]) -> str:
+def _category(homographs: tuple[Homograph, ...], table: dict[str, tuple[int, int]]) -> str:
     """`classify_word_type` of a word type with these homographs and this tag table."""
     if len(homographs) == 1:
         return "monohomographic"
-    counts = [count for _, count in by_tag.values()]
+    counts = [count for _, count in table.values()]
     if max(counts) <= 1:
         return "guaranteed"
     if min(counts) >= 2:
@@ -822,12 +805,12 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
     for number, weight in enumerate(weights):
         if not weight:
             continue
-        by_tag = tables[number] or build(number)
+        table = tables[number] or build(number)
         homographs = sequences[number]
-        by_category[_category(homographs, by_tag)] += weight
+        by_category[_category(homographs, table)] += weight
         if sum(h.n_senses for h in homographs) >= 2:
             n_polysemous += weight
-        for tag, (_, count) in by_tag.items():
+        for tag, (_, count) in table.items():
             if count >= 2:
                 collisions[tag] += weight
     n = len(lexicon._index)

@@ -46,7 +46,7 @@ where it occurs.
 
 Tagging a line is one lookup of its fine tag, one lowercased lookup of
 its word type's sequence number and one lookup of the coarse tag in that
-sequence's `by_tag` table (see `lexicon.Lexicon`), which holds the first
+sequence's tag table (see `lexicon.Lexicon`), which holds the first
 homograph carrying each tag; a loaded lexicon builds the table the first
 time a line reaches it.
 """

@@ -67,6 +67,11 @@ def identity_partition(values):
     return {tuple(group) for group in groups.values()}
 
 
+def tag_tables(lexicon):
+    """key -> the tag table of the key's homograph sequence, in key order, each built if need be."""
+    return {key: lexicon._build(number) for key, number in lexicon._index.items()}
+
+
 def refuse_full_load(*args):
     raise AssertionError("a full load ran where the cache should have answered")
 

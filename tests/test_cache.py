@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from homograph_tagger import LexiconError, load_lexicon
 from homograph_tagger.cli import main
 from homograph_tagger.lexicon import _code_stamp, _entry_reader, _read_lexicon
-from support import cache_files, identity_partition, refuse_full_load
+from support import cache_files, identity_partition, refuse_full_load, tag_tables
 
 SUMMARY = "tagged 209 tokens in 5 documents: 107 matched, 3 fallback, 7 unknown, 92 closed-class\n"
 
@@ -68,7 +68,7 @@ def test_a_second_load_is_a_cache_hit_equal_to_the_full_load(cold_cache, lexicon
     monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
     warm = load_lexicon(lexicon_path)
     assert warm == cold and warm.vocabulary == cold.vocabulary
-    assert [entry.by_tag for entry in warm] == [entry.by_tag for entry in cold]
+    assert warm._index == cold._index and tag_tables(warm) == tag_tables(cold)
 
 
 def test_a_hit_shares_values_exactly_as_the_full_load_does(
@@ -86,11 +86,11 @@ def test_a_hit_shares_values_exactly_as_the_full_load_does(
     cold = load_lexicon(path)
     monkeypatch.setattr("homograph_tagger.lexicon._entry_reader", refuse_full_load)
     warm = load_lexicon(path)
-    assert warm == cold
-    for part in ("homographs", "by_tag"):
-        shared = identity_partition([getattr(entry, part) for entry in cold])
-        assert identity_partition([getattr(entry, part) for entry in warm]) == shared
-        assert len(shared) < len(cold)
+    assert warm == cold and warm._index == cold._index
+    shared = identity_partition([entry.homographs for entry in cold])
+    assert identity_partition([entry.homographs for entry in warm]) == shared
+    assert identity_partition(tag_tables(warm).values()) == shared
+    assert len(shared) < len(cold)
 
 
 def test_the_same_bytes_under_another_path_hit(cold_cache, lexicon_path, tmp_path, monkeypatch):
@@ -142,7 +142,7 @@ def test_a_damaged_cache_file_is_ignored_and_rewritten(
     assert cached.read_bytes() != written
     again = load_lexicon(lexicon_path)
     assert again == cold
-    assert [entry.by_tag for entry in again] == [entry.by_tag for entry in cold]
+    assert again._index == cold._index and tag_tables(again) == tag_tables(cold)
     assert len(full_loads) == 2
     assert cache_files(cold_cache) == [name]
     assert cached.read_bytes() == written

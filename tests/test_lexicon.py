@@ -23,7 +23,7 @@ from homograph_tagger import (
     render_taxonomy,
 )
 from homograph_tagger.util import pct_of
-from support import load_each_way, make_entry, make_lexicon, tag_lines
+from support import load_each_way, make_entry, make_lexicon, tag_lines, tag_tables
 
 
 def write_jsonl(path, records):
@@ -134,8 +134,7 @@ def test_load_lexicon_preserves_order_and_ids(tmp_path):
     assert bank.sense_count() == 4
     assert len(by_key["sofa"].homographs) == 1
     # coarse tag -> (first homograph carrying it, number of homographs carrying it)
-    assert bank.by_tag == {"n": (1, 2), "v": (3, 1)}
-    assert by_key["sofa"].by_tag == {"n": (1, 1)}
+    assert tag_tables(lex) == {"bank": {"n": (1, 2), "v": (3, 1)}, "sofa": {"n": (1, 1)}}
 
 
 def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path, penn):
@@ -147,7 +146,7 @@ def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path, p
     assert [r.status for r in tag_lines(tmp_path, lex, penn, *lines)] == ["M", "M", "M", "U"]
 
 
-# three homographs with the tag lists ["n"], ["n"] and ["v"]: by_tag {"n": (1, 2), "v": (3, 1)}
+# three homographs with the tag lists ["n"], ["n"] and ["v"]: tag table {"n": (1, 2), "v": (3, 1)}
 FILLER = {"word": "filler", "homographs": [
     {"pos": ["n"], "senses": [{"def": "d"}]},
     {"pos": ["n"], "senses": [{"def": "d"}]},
@@ -190,7 +189,7 @@ def test_load_lexicon_rejects_malformed_records(tmp_path, record, message):
 @pytest.mark.parametrize("pos", [[1, 2], [["n"]], [3, 1], ["n", ["v"]], [0, 0, 1]])
 def test_a_tag_list_equal_to_a_built_pair_is_still_checked(tmp_path, pos):
     # a list of ints is no tag list, whatever equal tuple a load has built or listed before:
-    # [1, 2] equals a by_tag pair, and [0, 0, 1] the filler's sequence of homograph indexes
+    # [1, 2] equals a tag table's pair, and [0, 0, 1] the filler's sequence of homograph indexes
     path = tmp_path / "lex.jsonl"
     write_jsonl(path, [FILLER, {"word": "w", "homographs": [{"pos": pos, "senses": [{"def": "d"}]}]}])
     with pytest.raises(LexiconError, match=r"lex\.jsonl:2: 'w': homograph 1: pos tags must be strings$"):
@@ -210,10 +209,13 @@ def test_entries_with_equal_homographs_share_them_and_their_tag_table(tmp_path, 
     # a hit must rebuild the sharing of the cold load, and a load with no usable cache make it
     for lexicon in load_each_way(path).values():
         bank, fish, sofa, row, mole = lexicon
+        tables = tag_tables(lexicon)
         assert bank.homographs is fish.homographs
-        assert bank.by_tag is fish.by_tag
-        assert bank.by_tag == {"n": (1, 1), "v": (2, 1)}
-        assert row.by_tag == {"v": (1, 1), "n": (2, 1)}
+        # equal homographs get one sequence number, and so one tag table
+        assert list(lexicon._index.values()) == [0, 0, 1, 2, 3]
+        assert tables["bank"] is tables["fish"]
+        assert tables["bank"] == {"n": (1, 1), "v": (2, 1)}
+        assert tables["row"] == {"v": (1, 1), "n": (2, 1)}
         # one object per distinct (pos, n_senses), one tag list per distinct list of tags
         homographs = [h for entry in (bank, sofa, row, mole) for h in entry.homographs]
         assert len({id(h) for h in homographs}) == len(set(homographs)) == 3
@@ -221,11 +223,12 @@ def test_entries_with_equal_homographs_share_them_and_their_tag_table(tmp_path, 
         assert sofa.homographs[0] is bank.homographs[0] is row.homographs[1]
         assert mole.homographs[0] is not sofa.homographs[0]
         # one object per distinct (first, count) pair across the tag tables
-        assert bank.by_tag["n"] is sofa.by_tag["n"] is mole.by_tag["n"] is row.by_tag["v"]
-        # a hand-made entry equals a loaded one and derives an equal table of its own
+        assert tables["bank"]["n"] is tables["sofa"]["n"] is tables["mole"]["n"] is tables["row"]["v"]
+        # a hand-made entry equals a loaded one, and a lexicon made of it derives an equal table of its own
         made = make_entry("bank", ("n",), ("v",), senses=[2, 1])
         assert made == bank and hash(made) == hash(bank)
-        assert made.by_tag == bank.by_tag and made.by_tag is not bank.by_tag
+        made_table = tag_tables(make_lexicon(made))["bank"]
+        assert made_table == tables["bank"] and made_table is not tables["bank"]
 
 
 def test_a_load_tracks_about_one_object_per_word_type(tmp_path, cold_cache):
@@ -322,19 +325,23 @@ def test_entries_and_lexicons_hash_and_rebuild_their_tag_table(fixtures_dir):
     path = fixtures_dir / "pipeline_lexicon.jsonl"
     lexicon = load_lexicon(path)
     assert hash(lexicon) == hash(load_lexicon(path))
-    assert pickle.loads(pickle.dumps(lexicon)) == lexicon
+    restored = pickle.loads(pickle.dumps(lexicon))
+    assert restored == lexicon and tag_tables(restored) == tag_tables(lexicon)
     assert set(lexicon.entries) == set(load_lexicon(path).entries)
     entry = make_entry("bank", ("n",), ("v",))
     assert repr(entry) == f"WordTypeEntry(key='bank', homographs={entry.homographs!r})"
-    assert pickle.loads(pickle.dumps(entry)).by_tag == entry.by_tag
-    # the table is derived, so every way of making an entry derives it again
-    reordered = replace(entry, homographs=entry.homographs[::-1])
-    assert reordered.by_tag == {"v": (1, 1), "n": (2, 1)}
-    # dataclasses.replace refuses an init=False field: ValueError before 3.13, TypeError since
-    with pytest.raises(TypeError if sys.version_info >= (3, 13) else ValueError):
-        replace(entry, by_tag={})
-    with pytest.raises(FrozenInstanceError):
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    # the table is the lexicon's, derived from the homographs, so a lexicon made of a
+    # changed entry derives it again
+    reordered = entry._replace(homographs=entry.homographs[::-1])
+    assert tag_tables(make_lexicon(reordered)) == {"bank": {"v": (1, 1), "n": (2, 1)}}
+    # an entry holds no table to set, and neither it nor a lexicon can be changed
+    with pytest.raises(ValueError, match="unexpected field names"):
+        entry._replace(by_tag={})
+    with pytest.raises(AttributeError):
         entry.homographs = reordered.homographs
+    with pytest.raises(FrozenInstanceError):
+        lexicon.entries = ()
 
 
 def built(lexicon):
@@ -372,9 +379,8 @@ def test_a_loaded_lexicon_builds_only_what_is_reached(tmp_path, cold_cache, fixt
     assert replace(load_lexicon(path), vocabulary=made.vocabulary) == made
 
 
-def test_threads_that_reach_a_sequence_at_once_build_it_once(tmp_path):
-    # more threads than CPUs, switching often, released together to reach every sequence in one order
-    path = tmp_path / "lex.jsonl"
+def write_many_sequences(path):
+    """Write 400 word types over many distinct homograph sequences to path; return it."""
     tags = ["n", "v", "adj", "adv"]
     write_jsonl(path, [
         {"word": f"w{i}", "homographs": [
@@ -383,37 +389,82 @@ def test_threads_that_reach_a_sequence_at_once_build_it_once(tmp_path):
         ]}
         for i in range(400)
     ])
+    return path
+
+
+def race(work, threads=8):
+    """What work() returns on each of threads threads, released together, switching every microsecond.
+
+    More threads than CPUs, switching often: a race is not lost every time,
+    so a caller runs several rounds, each on a fresh lexicon.
+    """
+    seen = [None] * threads
+    start = threading.Barrier(threads)
+
+    def run(slot):
+        start.wait(timeout=60)
+        seen[slot] = work()
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        # a race is not lost every time: each round reaches a fresh lexicon
-        for _ in range(10):
-            lexicon = load_lexicon(path)
-            numbers = sorted(set(lexicon._index.values()))
-            seen = [None] * 8
-            start = threading.Barrier(len(seen))
-
-            def reach(slot):
-                start.wait(timeout=60)
-                seen[slot] = {n: lexicon._tables[n] or lexicon._build(n) for n in numbers}
-
-            threads = [threading.Thread(target=reach, args=(slot,)) for slot in range(len(seen))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            for n in numbers:
-                assert len({id(tables[n]) for tables in seen}) == 1
-                assert seen[0][n] is lexicon._tables[n] and type(lexicon._sequences[n]) is tuple
+        started = [threading.Thread(target=run, args=(slot,)) for slot in range(threads)]
+        for thread in started:
+            thread.start()
+        for thread in started:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    return seen
+
+
+def test_threads_that_reach_a_sequence_at_once_build_it_once(tmp_path):
+    path = write_many_sequences(tmp_path / "lex.jsonl")
+    for _ in range(10):
+        lexicon = load_lexicon(path)
+        numbers = sorted(set(lexicon._index.values()))
+        # every thread reaches every sequence, in one order
+        seen = race(lambda: {n: lexicon._tables[n] or lexicon._build(n) for n in numbers})
+        for n in numbers:
+            assert len({id(tables[n]) for tables in seen}) == 1
+            assert seen[0][n] is lexicon._tables[n] and type(lexicon._sequences[n]) is tuple
     assert lexicon == load_lexicon(path)
 
 
-def test_a_lexicon_made_by_hand_refuses_a_repeated_key():
-    with pytest.raises(ValueError, match="duplicate word type key 'bank'"):
-        make_lexicon(make_entry("bank", ("n",)), make_entry("sofa", ("n",)), make_entry("bank", ("v",)))
+def test_threads_that_first_read_the_entries_at_once_get_one_tuple(tmp_path):
+    path = write_many_sequences(tmp_path / "lex.jsonl")
+    for _ in range(10):
+        lexicon = load_lexicon(path)
+        seen = race(lambda: lexicon.entries)
+        assert all(entries is lexicon.entries for entries in seen)
+    assert lexicon == load_lexicon(path)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (make_entry("bank", ("v",)), "duplicate word type key 'bank'"),
+        # the tagger lowercases every lookup, so such a key could never match
+        (make_entry("Row", ("n",)), "word type key 'Row' is not a non-empty lowercase string"),
+        (make_entry("", ("n",)), "word type key '' is not a non-empty lowercase string"),
+        (WordTypeEntry("row", ()), "'row': no homographs"),
+        (make_entry("row", ("n",), ()), "'row': homograph 2: no pos tags"),
+        (make_entry("row", ("n",), ("zzz",)), "'row': homograph 2: unknown coarse tag 'zzz'"),
+        (make_entry("row", ("n", "v", "n")), "'row': homograph 1: duplicate pos tag 'n'"),
+        (
+            make_entry("row", ("n",), ("v",), senses=[1, 0]),
+            "'row': homograph 2: number of senses 0 is not an int of at least 1",
+        ),
+    ],
+    ids=[
+        "repeated-key", "key-not-normalized", "empty-key", "no-homographs", "no-tags",
+        "tag-not-in-the-vocabulary", "repeated-tag", "no-senses",
+    ],
+)
+def test_a_lexicon_made_by_hand_refuses_what_a_load_refuses(entry, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_lexicon(make_entry("bank", ("n",)), make_entry("sofa", ("n",)), entry)
 
 
 # ---------------------------------------------------------------------------

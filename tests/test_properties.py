@@ -2,8 +2,10 @@
 
 import json
 import os
+import pickle
 import re
 import tempfile
+import weakref
 from dataclasses import asdict
 from importlib.resources import files
 from unittest import mock
@@ -41,6 +43,7 @@ from support import (
     make_entry,
     make_lexicon,
     tag_lines,
+    tag_tables,
     tok,
 )
 
@@ -185,15 +188,18 @@ def test_analysis_groups_equal_homographs_not_identical_objects(entries):
 @given(lexicon_entries(words=cased_words))
 def test_records_load_back_to_their_entries(tmp_path, entries):
     loads = loaded_each_way(tmp_path, entries)
-    normalized = make_lexicon(*[WordTypeEntry(e.key.lower(), e.homographs) for e in entries])
-    # every path builds an equal lexicon, its keys passing the builder's check, with the same sharing
-    for lexicon in loads.values():
-        assert lexicon == normalized
-    for part in ("homographs", "by_tag"):
-        cold, hit, uncached = (
-            identity_partition([getattr(entry, part) for entry in lexicon]) for lexicon in loads.values()
-        )
-        assert cold == hit == uncached
+    made = make_lexicon(*[WordTypeEntry(e.key.lower(), e.homographs) for e in entries])
+    # the entries made by hand take the path a load takes: every load path builds a lexicon
+    # equal to theirs, its keys passing the builder's check, with the same sequence number
+    # and an equal tag table per key, and the same sharing of homographs tuples
+    numbers, tables = list(made._index.items()), tag_tables(made)
+    sharing = identity_partition([entry.homographs for entry in made])
+    for lexicon in (made, *loads.values()):
+        assert lexicon == made and hash(lexicon) == hash(made)
+        assert list(lexicon._index.items()) == numbers and tag_tables(lexicon) == tables
+        assert identity_partition([entry.homographs for entry in lexicon]) == sharing
+        assert pickle.loads(pickle.dumps(lexicon)) == made
+        assert weakref.ref(lexicon)() is lexicon
 
 
 tag_list = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3, unique=True)
@@ -227,14 +233,17 @@ def test_loaded_entries_equal_the_entries_made_from_their_parts(tmp_path, record
     for lexicon in (first_load, load_lexicon(path)):
         assert lexicon == first_load
         assert [entry.key for entry in lexicon] == [record["word"] for record in records]
+        tables = tag_tables(lexicon)
         for entry in lexicon:
             made = WordTypeEntry(entry.key, entry.homographs)
             assert entry == made
-            assert list(entry.by_tag.items()) == list(made.by_tag.items())
+            # the table a lexicon of the made entry alone derives, in the same order
+            made_table = tag_tables(make_lexicon(made))[entry.key]
+            assert list(tables[entry.key].items()) == list(made_table.items())
         first_with = {}
         for entry in lexicon:
             first = first_with.setdefault(entry.homographs, entry)
-            assert entry.homographs is first.homographs and entry.by_tag is first.by_tag
+            assert entry.homographs is first.homographs and tables[entry.key] is tables[first.key]
 
 
 # ---------------------------------------------------------------------------
