@@ -16,12 +16,11 @@ Every sense is checked at load, but a loaded homograph keeps only its
 coarse tags and its number of senses: no command reads a definition,
 and `analyze` only asks whether a word type has two or more senses.
 
-Each homograph sequence has a tag table: coarse tag -> (id of the
-first homograph carrying the tag, number of homographs carrying it).
-The tagger reads the first element (one dict lookup per token instead
-of a scan of the homographs) and the taxonomy reads the second. The
-table is a fact about the sequence, so a lexicon keeps one per
-distinct sequence. Homographs and entries are named tuples.
+Each homograph sequence has a tag table: coarse tag -> id of the first
+homograph carrying the tag, which the tagger reads with one dict lookup
+per token instead of a scan of the homographs. The table is a fact
+about the sequence, so a lexicon keeps one per distinct sequence.
+Homographs and entries are named tuples.
 
 A lexicon repeats a few values many times: the 50,000 word types of
 the benchmark's lexicon-large input hold 157,086 homographs, but only
@@ -40,7 +39,7 @@ sequence, and its entries the first time they are read, so a run
 builds only what its tokens reach: the benchmark's 4,000-token tag run
 on lexicon-large reaches 725 of its 23,526 sequences. Each is built
 once and shared: entries with equal homographs share one homographs
-tuple, and the tag tables share their pairs. What a loaded lexicon
+tuple and one tag table. What a loaded lexicon
 costs a caller whose cyclic garbage collector is on is told in
 `load_lexicon`.
 
@@ -52,11 +51,16 @@ lives and what it costs.
 
 `classify_word_type` returns the category's report name:
 "monohomographic", "guaranteed", "possible" or "no-disambiguation".
-`analyze_lexicon` counts those names, classifying each distinct
-homograph sequence once, weighted by the number of keys that have it
-(23,526 sequences for lexicon-large's 50,000 word types), and builds no
-entry. `render_taxonomy` prints the percentages `analyze_lexicon`
-rounded once, as stored.
+`analyze_lexicon` counts those names from one integer code per distinct
+homograph, whose fields count the homographs, those with two or more
+senses, and the carriers of each tag. A sequence's code is the sum of
+its homographs' codes, so the 23,526 sequences of lexicon-large's 50,000
+word types (seed 1) are summed in C from their lists of indexes, giving
+7,193 distinct codes, which share 2,319 distinct tag parts; each of
+those is decoded once, by the category rule `classify_word_type`
+applies. It builds nothing and takes no lock.
+`render_taxonomy` prints the percentages `analyze_lexicon` rounded once,
+as stored.
 """
 
 from __future__ import annotations
@@ -71,10 +75,10 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import cache
 from io import RawIOBase
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from threading import RLock
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import LexiconError, VocabularyError
 from .util import (
@@ -163,26 +167,12 @@ class WordTypeEntry(NamedTuple):
         return sum(h.n_senses for h in self.homographs)
 
 
-class _Pairs(dict):
-    """The pairs of the tag tables built with it, each built once and then shared.
-
-    pairs[first] is (first, 1), the pair of a tag first seen on homograph
-    first, and pairs[pair] is the pair that follows it when one more
-    homograph carries the tag.
-    """
-
-    def __missing__(self, key):
-        pair = self[key] = (key, 1) if type(key) is int else (key[0], key[1] + 1)
-        return pair
-
-
-def _tag_table(homographs: tuple[Homograph, ...], pairs: _Pairs) -> dict[str, tuple[int, int]]:
-    """coarse tag -> (id of the first homograph carrying it, number of homographs carrying it)."""
-    table: dict[str, tuple[int, int]] = {}
+def _tag_table(homographs: tuple[Homograph, ...]) -> dict[str, int]:
+    """coarse tag -> id of the first homograph carrying it."""
+    table: dict[str, int] = {}
     for homograph_id, (pos, _) in enumerate(homographs, start=1):
         for tag in pos:
-            pair = table.get(tag)
-            table[tag] = pairs[homograph_id if pair is None else pair]
+            table.setdefault(tag, homograph_id)
     return table
 
 
@@ -192,12 +182,13 @@ class Lexicon:
 
     Its index maps each key to the number of its homograph sequence, one
     number per distinct homographs value. Slot number of its sequences
-    holds that sequence's list of indexes into the distinct homographs
-    until it is built, then its homographs tuple, and the same slot of
-    its tables None, then its tag table. `_build` builds the tuple and
-    the table of a number whose table slot is still None, keeps both and
-    returns the table, so a lookup reads `tables[number] or
-    build(number)`, then `sequences[number]`. The entries are built the
+    holds that sequence's list of indexes into its distinct homographs,
+    which it keeps for `analyze_lexicon`, until it is built, then its
+    homographs tuple, and the same slot of its tables None, then its tag
+    table: coarse tag -> id of the first homograph carrying it. `_build` builds
+    the tuple and the table of a number whose table slot is still None,
+    keeps both and returns the table, so a lookup reads `tables[number]
+    or build(number)`, then `sequences[number]`. The entries are built the
     first time they are read. One lock guards both, so threads that
     reach a sequence, or first read the entries, at once build it once.
     A lexicon compares, hashes, prints and pickles by its vocabulary and
@@ -224,17 +215,12 @@ class Lexicon:
                 raise ValueError(f"duplicate word type key {key!r}")
             if type(key) is not str or not key or normalize_key(key) != key:
                 raise ValueError(f"word type key {key!r} is not a non-empty lowercase string")
-            if not homographs:
-                raise ValueError(f"{key!r}: no homographs")
+            _check_homographs(key, homographs, known, listed)
             number = index[key] = numbers.setdefault(homographs, len(numbers))
             if number < len(sequences):
                 continue
-            for position, homograph in enumerate(homographs, start=1):
-                if homograph not in listed:
-                    problem = _homograph_problem(homograph.pos, homograph.n_senses, known)
-                    if problem is not None:
-                        raise ValueError(f"{key!r}: homograph {position}: {problem}")
-                    listed[homograph] = len(listed)
+            for homograph in homographs:
+                listed.setdefault(homograph, len(listed))
             sequences.append(list(map(listed.__getitem__, homographs)))
         self._setup(vocabulary, index, list(listed), sequences)
 
@@ -244,26 +230,25 @@ class Lexicon:
         """Keep the parts of a lexicon whose index numbers lists of indexes into homographs; return self.
 
         Nothing is built yet. Building a number replaces its list by the
-        tuple of the homographs it names, then sets its tag table; the
-        tables of one lexicon share one table of (first, count) pairs.
+        tuple of the homographs it names, then sets its tag table. The
+        distinct homographs are kept too, for `analyze_lexicon`.
         """
-        tables: list[dict[str, tuple[int, int]] | None] = [None] * len(sequences)
-        tag_pairs = _Pairs()
+        tables: list[dict[str, int] | None] = [None] * len(sequences)
         # a lookup reads the table before the sequence, so the table is set last;
         # reentrant, since the entries are built by building every sequence
         lock = RLock()
 
-        def build(number: int) -> dict[str, tuple[int, int]]:
+        def build(number: int) -> dict[str, int]:
             with lock:
                 table = tables[number]
                 if table is None:
                     sequence = sequences[number] = tuple(map(homographs.__getitem__, sequences[number]))
-                    table = tables[number] = _tag_table(sequence, tag_pairs)
+                    table = tables[number] = _tag_table(sequence)
             return table
 
         for name, value in (
-            ("vocabulary", vocabulary), ("_index", index), ("_sequences", sequences),
-            ("_tables", tables), ("_build", build), ("_lock", lock),
+            ("vocabulary", vocabulary), ("_index", index), ("_homographs", homographs),
+            ("_sequences", sequences), ("_tables", tables), ("_build", build), ("_lock", lock),
         ):
             object.__setattr__(self, name, value)
         return self
@@ -504,25 +489,45 @@ def _entry_reader(
     return read_record
 
 
-def _tag_list_problem(pos: list, vocab: frozenset[str]) -> str | None:
-    """Why a homograph's tag list fails (a tag not a string, unknown or repeated), or None."""
+def _tag_list_problem(pos: list, vocab: frozenset[str] | None) -> str | None:
+    """Why a homograph's tag list fails (a tag not a string, unknown or repeated), or None.
+
+    With no vocab, no tag is unknown.
+    """
     for index, tag in enumerate(pos):
         if type(tag) is not str:
             return "pos tags must be strings"
-        if tag not in vocab:
+        if vocab is not None and tag not in vocab:
             return f"unknown coarse tag {tag!r}"
         if index and tag in pos[:index]:
             return f"duplicate pos tag {tag!r}"
     return None
 
 
-def _homograph_problem(pos, n_senses: object, vocab: frozenset[str]) -> str | None:
+def _homograph_problem(pos, n_senses: object, vocab: frozenset[str] | None) -> str | None:
     """Why a listed homograph fails (no tags, a bad tag list or fewer than one sense), or None."""
     if not pos:
         return "no pos tags"
     if type(n_senses) is not int or n_senses < 1:
         return f"number of senses {n_senses!r} is not an int of at least 1"
     return _tag_list_problem(pos, vocab)
+
+
+def _check_homographs(
+    key: str, homographs: tuple[Homograph, ...], vocab: frozenset[str] | None, listed=()
+) -> None:
+    """Raise the ValueError naming key for the first fault of a word type's homographs.
+
+    That is no homographs at all, or a homograph not in listed that fails
+    `_homograph_problem`; with no vocab, no tag is unknown.
+    """
+    if not homographs:
+        raise ValueError(f"{key!r}: no homographs")
+    for position, homograph in enumerate(homographs, start=1):
+        if homograph not in listed:
+            problem = _homograph_problem(homograph.pos, homograph.n_senses, vocab)
+            if problem is not None:
+                raise ValueError(f"{key!r}: homograph {position}: {problem}")
 
 
 def _homograph_error(
@@ -736,17 +741,27 @@ def classify_word_type(entry: WordTypeEntry) -> str:
     if every count is 2 or more, no tag ever does (no-disambiguation);
     a mixture means some tags decide the homograph and some do not
     (possible). Word types with one homograph are trivial
-    (monohomographic). The counts come from the tag table of the
-    entry's homographs.
+    (monohomographic).
+
+    The entry is checked first as `Lexicon(vocabulary, entries)` checks
+    it: no homographs, a homograph with no tags, a tag that is not a
+    string or is repeated, or fewer than one sense raises the ValueError
+    a lexicon raises, naming the key. An entry has no vocabulary, so an
+    unknown tag cannot be told from a known one and is not checked.
     """
-    return _category(entry.homographs, _tag_table(entry.homographs, _Pairs()))
-
-
-def _category(homographs: tuple[Homograph, ...], table: dict[str, tuple[int, int]]) -> str:
-    """`classify_word_type` of a word type with these homographs and this tag table."""
+    key, homographs = entry
+    _check_homographs(key, homographs, None)
     if len(homographs) == 1:
         return "monohomographic"
-    counts = [count for _, count in table.values()]
+    return _category(Counter(chain.from_iterable(h.pos for h in homographs)).values())
+
+
+def _category(counts: Collection[int]) -> str:
+    """The category of a word type of two or more homographs whose tags have these counts.
+
+    counts holds count(c) of each tag c the word type can take, as in
+    `classify_word_type`, which with `analyze_lexicon` shares this rule.
+    """
     if max(counts) <= 1:
         return "guaranteed"
     if min(counts) >= 2:
@@ -786,41 +801,62 @@ class TaxonomyReport:
 def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
     """Aggregate the four-way classification over a whole lexicon.
 
-    A word type's category, sense count and collisions all follow from
-    its homographs, so the word types of one homograph sequence are
-    counted together: each distinct sequence is classified once, from
-    its homographs and tag table, and weighted by the number of keys the
-    index gives it. No entry is built, only the sequences not built yet.
+    A word type's category, polysemy and collisions follow from how many
+    of its homographs there are, whether one has two or more senses, and
+    how many carry each tag. `_homograph_codes` gives each distinct
+    homograph one integer with a field for each of those, so the code of
+    a homograph sequence, the sum of its homographs' codes, holds them
+    all. Each sequence's code is summed from its list of indexes, or
+    from its homographs once built, and each distinct code is weighted
+    by the number of keys the index gives its sequences. Its count and
+    sense fields are read once per distinct code, and its tag fields once
+    per distinct tag part. It builds nothing and takes no lock, so the
+    report does not depend on which sequences a run has built, or is
+    building.
     """
     # load_lexicon rejects an empty file; a Lexicon made by hand may still be empty
-    if not lexicon._index:
+    index = lexicon._index
+    if not index:
         raise LexiconError("cannot analyze an empty lexicon")
-    sequences, tables, build = lexicon._sequences, lexicon._tables, lexicon._build
-    weights = [0] * len(sequences)
-    for number in lexicon._index.values():
-        weights[number] += 1
-    by_category: Counter[str] = Counter()
-    n_polysemous = 0
-    collisions: Counter[str] = Counter()
-    for number, weight in enumerate(weights):
-        if not weight:
-            continue
-        table = tables[number] or build(number)
-        homographs = sequences[number]
-        by_category[_category(homographs, table)] += weight
-        if sum(h.n_senses for h in homographs) >= 2:
+    vocabulary, sequences = lexicon.vocabulary, lexicon._sequences
+    # a field holds a count of at most the longest sequence's length, so no sum carries
+    width = max(map(len, sequences)).bit_length()
+    mask = (1 << width) - 1
+    code = _homograph_codes(lexicon._homographs, vocabulary, width).__getitem__
+    sequence_codes = list(map(sum, map(map, repeat(code), sequences)))
+    n_mono = n_polysemous = 0
+    # the keys of each tag part, over the codes of two or more homographs
+    by_tags: Counter[int] = Counter()
+    for sequence_code, weight in Counter(map(sequence_codes.__getitem__, index.values())).items():
+        if sequence_code & mask == 1:
+            n_mono += weight
+            if sequence_code >> width & mask:
+                n_polysemous += weight
+        else:
+            # two or more homographs have two or more senses between them
             n_polysemous += weight
-        for tag, (_, count) in table.items():
-            if count >= 2:
-                collisions[tag] += weight
-    n = len(lexicon._index)
-    n_mono = by_category["monohomographic"]
+            by_tags[sequence_code >> 2 * width] += weight
+    by_category: Counter[str] = Counter()
+    collisions = [0] * len(vocabulary)
+    for tags, weight in by_tags.items():
+        counts = []
+        place = 0
+        while tags:
+            count = tags & mask
+            if count:
+                counts.append(count)
+                if count >= 2:
+                    collisions[place] += weight
+            tags >>= width
+            place += 1
+        by_category[_category(counts)] += weight
+    n = len(index)
     # every entry has at least one homograph
     n_polyhomographic = n - n_mono
     n_guaranteed = by_category["guaranteed"]
     n_possible = by_category["possible"]
     n_none = by_category["no-disambiguation"]
-    histogram = {tag: collisions[tag] for tag in lexicon.vocabulary if collisions[tag]}
+    histogram = {tag: count for tag, count in zip(vocabulary, collisions) if count}
     return TaxonomyReport(
         n_word_types=n,
         n_polysemous=n_polysemous,
@@ -837,6 +873,25 @@ def analyze_lexicon(lexicon: Lexicon) -> TaxonomyReport:
         possible_pct_all_types=pct_of(n_mono + n_guaranteed + n_possible, n),
         collision_histogram=histogram,
     )
+
+
+def _homograph_codes(homographs: list[Homograph], vocabulary: tuple[str, ...], width: int) -> dict:
+    """The code of each distinct homograph, keyed both by its index among them and by itself.
+
+    A code is a row of fields width bits wide: the lowest holds 1, the
+    next 1 if the homograph has two or more senses, and the field of the
+    vocabulary's tag i, 2 + i from the lowest, 1 if it carries the tag.
+    A sequence's slot holds indexes until it is built and homographs
+    after, so both keys give the code.
+    """
+    shift = {tag: (2 + place) * width for place, tag in enumerate(vocabulary)}
+    codes = {}
+    for number, homograph in enumerate(homographs):
+        pos, n_senses = homograph
+        codes[number] = codes[homograph] = (
+            1 + ((n_senses >= 2) << width) + sum(1 << shift[tag] for tag in pos)
+        )
+    return codes
 
 
 def render_taxonomy(report: TaxonomyReport, fmt: str = "text") -> str:

@@ -46,9 +46,9 @@ where it occurs.
 
 Tagging a line is one lookup of its fine tag, one lowercased lookup of
 its word type's sequence number and one lookup of the coarse tag in that
-sequence's tag table (see `lexicon.Lexicon`), which holds the first
-homograph carrying each tag; a loaded lexicon builds the table the first
-time a line reaches it.
+sequence's tag table (see `lexicon.Lexicon`), which maps each tag to the
+id of the first homograph carrying it and holds nothing else; a lexicon
+builds the table the first time a line reaches it.
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def _tagging_rule(
             else:
                 hit = (tables[number] or build(number)).get(coarse)
                 n_homographs = len(sequences[number])
-                status, homograph_id = ("F", 1) if hit is None else ("M", hit[0])
+                status, homograph_id = ("F", 1) if hit is None else ("M", hit)
         tail = (
             f"\t{surface}\t{_MISSING if coarse is None else coarse}"
             f"\t{status}\t{_MISSING if homograph_id is None else homograph_id}\n"

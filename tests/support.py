@@ -72,6 +72,11 @@ def tag_tables(lexicon):
     return {key: lexicon._build(number) for key, number in lexicon._index.items()}
 
 
+def built(lexicon):
+    """The number of the lexicon's homograph sequences built so far."""
+    return sum(table is not None for table in lexicon._tables)
+
+
 def refuse_full_load(*args):
     raise AssertionError("a full load ran where the cache should have answered")
 

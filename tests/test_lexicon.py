@@ -23,7 +23,7 @@ from homograph_tagger import (
     render_taxonomy,
 )
 from homograph_tagger.util import pct_of
-from support import load_each_way, make_entry, make_lexicon, tag_lines, tag_tables
+from support import built, load_each_way, make_entry, make_homograph, make_lexicon, tag_lines, tag_tables
 
 
 def write_jsonl(path, records):
@@ -133,8 +133,8 @@ def test_load_lexicon_preserves_order_and_ids(tmp_path):
     assert tuple(h.n_senses for h in bank.homographs) == (2, 1, 1)
     assert bank.sense_count() == 4
     assert len(by_key["sofa"].homographs) == 1
-    # coarse tag -> (first homograph carrying it, number of homographs carrying it)
-    assert tag_tables(lex) == {"bank": {"n": (1, 2), "v": (3, 1)}, "sofa": {"n": (1, 1)}}
+    # coarse tag -> id of the first homograph carrying it
+    assert tag_tables(lex) == {"bank": {"n": 1, "v": 3}, "sofa": {"n": 1}}
 
 
 def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path, penn):
@@ -146,7 +146,7 @@ def test_load_lexicon_normalizes_keys_and_lookup_is_case_insensitive(tmp_path, p
     assert [r.status for r in tag_lines(tmp_path, lex, penn, *lines)] == ["M", "M", "M", "U"]
 
 
-# three homographs with the tag lists ["n"], ["n"] and ["v"]: tag table {"n": (1, 2), "v": (3, 1)}
+# three homographs with the tag lists ["n"], ["n"] and ["v"]: tag table {"n": 1, "v": 3}
 FILLER = {"word": "filler", "homographs": [
     {"pos": ["n"], "senses": [{"def": "d"}]},
     {"pos": ["n"], "senses": [{"def": "d"}]},
@@ -189,7 +189,7 @@ def test_load_lexicon_rejects_malformed_records(tmp_path, record, message):
 @pytest.mark.parametrize("pos", [[1, 2], [["n"]], [3, 1], ["n", ["v"]], [0, 0, 1]])
 def test_a_tag_list_equal_to_a_built_pair_is_still_checked(tmp_path, pos):
     # a list of ints is no tag list, whatever equal tuple a load has built or listed before:
-    # [1, 2] equals a tag table's pair, and [0, 0, 1] the filler's sequence of homograph indexes
+    # [1, 2] equals a tuple of two ints, and [0, 0, 1] the filler's sequence of homograph indexes
     path = tmp_path / "lex.jsonl"
     write_jsonl(path, [FILLER, {"word": "w", "homographs": [{"pos": pos, "senses": [{"def": "d"}]}]}])
     with pytest.raises(LexiconError, match=r"lex\.jsonl:2: 'w': homograph 1: pos tags must be strings$"):
@@ -214,16 +214,14 @@ def test_entries_with_equal_homographs_share_them_and_their_tag_table(tmp_path, 
         # equal homographs get one sequence number, and so one tag table
         assert list(lexicon._index.values()) == [0, 0, 1, 2, 3]
         assert tables["bank"] is tables["fish"]
-        assert tables["bank"] == {"n": (1, 1), "v": (2, 1)}
-        assert tables["row"] == {"v": (1, 1), "n": (2, 1)}
+        assert tables["bank"] == {"n": 1, "v": 2}
+        assert tables["row"] == {"v": 1, "n": 2}
         # one object per distinct (pos, n_senses), one tag list per distinct list of tags
         homographs = [h for entry in (bank, sofa, row, mole) for h in entry.homographs]
         assert len({id(h) for h in homographs}) == len(set(homographs)) == 3
         assert len({id(h.pos) for h in homographs}) == 2
         assert sofa.homographs[0] is bank.homographs[0] is row.homographs[1]
         assert mole.homographs[0] is not sofa.homographs[0]
-        # one object per distinct (first, count) pair across the tag tables
-        assert tables["bank"]["n"] is tables["sofa"]["n"] is tables["mole"]["n"] is tables["row"]["v"]
         # a hand-made entry equals a loaded one, and a lexicon made of it derives an equal table of its own
         made = make_entry("bank", ("n",), ("v",), senses=[2, 1])
         assert made == bank and hash(made) == hash(bank)
@@ -334,7 +332,7 @@ def test_entries_and_lexicons_hash_and_rebuild_their_tag_table(fixtures_dir):
     # the table is the lexicon's, derived from the homographs, so a lexicon made of a
     # changed entry derives it again
     reordered = entry._replace(homographs=entry.homographs[::-1])
-    assert tag_tables(make_lexicon(reordered)) == {"bank": {"v": (1, 1), "n": (2, 1)}}
+    assert tag_tables(make_lexicon(reordered)) == {"bank": {"v": 1, "n": 2}}
     # an entry holds no table to set, and neither it nor a lexicon can be changed
     with pytest.raises(ValueError, match="unexpected field names"):
         entry._replace(by_tag={})
@@ -342,11 +340,6 @@ def test_entries_and_lexicons_hash_and_rebuild_their_tag_table(fixtures_dir):
         entry.homographs = reordered.homographs
     with pytest.raises(FrozenInstanceError):
         lexicon.entries = ()
-
-
-def built(lexicon):
-    """The number of the lexicon's homograph sequences built so far."""
-    return sum(table is not None for table in lexicon._tables)
 
 
 def test_a_loaded_lexicon_builds_only_what_is_reached(tmp_path, cold_cache, fixtures_dir, penn):
@@ -392,18 +385,20 @@ def write_many_sequences(path):
     return path
 
 
-def race(work, threads=8):
-    """What work() returns on each of threads threads, released together, switching every microsecond.
+def race(works):
+    """What each of works returns, each run on a thread of its own.
 
-    More threads than CPUs, switching often: a race is not lost every time,
-    so a caller runs several rounds, each on a fresh lexicon.
+    The threads are released together and switch every microsecond. More
+    threads than CPUs, switching often: a race is not lost every time, so a
+    caller runs several rounds, each on a fresh lexicon.
     """
+    threads = len(works)
     seen = [None] * threads
     start = threading.Barrier(threads)
 
     def run(slot):
         start.wait(timeout=60)
-        seen[slot] = work()
+        seen[slot] = works[slot]()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -425,7 +420,7 @@ def test_threads_that_reach_a_sequence_at_once_build_it_once(tmp_path):
         lexicon = load_lexicon(path)
         numbers = sorted(set(lexicon._index.values()))
         # every thread reaches every sequence, in one order
-        seen = race(lambda: {n: lexicon._tables[n] or lexicon._build(n) for n in numbers})
+        seen = race([lambda: {n: lexicon._tables[n] or lexicon._build(n) for n in numbers}] * 8)
         for n in numbers:
             assert len({id(tables[n]) for tables in seen}) == 1
             assert seen[0][n] is lexicon._tables[n] and type(lexicon._sequences[n]) is tuple
@@ -436,9 +431,34 @@ def test_threads_that_first_read_the_entries_at_once_get_one_tuple(tmp_path):
     path = write_many_sequences(tmp_path / "lex.jsonl")
     for _ in range(10):
         lexicon = load_lexicon(path)
-        seen = race(lambda: lexicon.entries)
+        seen = race([lambda: lexicon.entries] * 8)
         assert all(entries is lexicon.entries for entries in seen)
     assert lexicon == load_lexicon(path)
+
+
+def test_analysis_while_threads_build_sequences_gives_the_serial_report(tmp_path):
+    path = write_many_sequences(tmp_path / "lex.jsonl")
+    serial = analyze_lexicon(load_lexicon(path))
+    for _ in range(10):
+        lexicon = load_lexicon(path)
+        numbers = sorted(set(lexicon._index.values()))
+
+        def build_forward():
+            for n in numbers:
+                lexicon._tables[n] or lexicon._build(n)
+
+        def build_backward():
+            for n in reversed(numbers):
+                lexicon._tables[n] or lexicon._build(n)
+
+        def analyze():
+            return [analyze_lexicon(lexicon) for _ in range(5)]
+
+        # two threads analyze while eight build, so a slot may turn from indexes into homographs mid-sum
+        seen = race([analyze] * 2 + [build_forward, build_backward] * 4)
+        assert [report for reports in seen[:2] for report in reports] == [serial] * 10
+        assert built(lexicon) == len(numbers)
+        assert analyze_lexicon(lexicon) == serial
 
 
 @pytest.mark.parametrize(
@@ -489,6 +509,36 @@ CANONICAL_IDS = [
 @pytest.mark.parametrize("groups, expected", CANONICAL_CASES, ids=CANONICAL_IDS)
 def test_classify_word_type_canonical_patterns(groups, expected):
     assert classify_word_type(make_entry("w", *groups)) == expected
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (WordTypeEntry("w", ()), "'w': no homographs"),
+        (make_entry("w", ("n",), ()), "'w': homograph 2: no pos tags"),
+        (
+            WordTypeEntry("w", (make_homograph(("n",)), make_homograph((3,)))),
+            "'w': homograph 2: pos tags must be strings",
+        ),
+        (make_entry("w", ("n", "v", "n")), "'w': homograph 1: duplicate pos tag 'n'"),
+        (
+            make_entry("w", ("n",), ("v",), senses=[1, 0]),
+            "'w': homograph 2: number of senses 0 is not an int of at least 1",
+        ),
+    ],
+    ids=["no-homographs", "no-tags", "tag-not-a-string", "repeated-tag", "no-senses"],
+)
+def test_classify_word_type_refuses_what_a_lexicon_refuses(entry, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify_word_type(entry)
+    # the very error a lexicon made of the entry raises
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_lexicon(entry)
+
+
+def test_classify_word_type_checks_no_vocabulary():
+    # an entry has no vocabulary, so a tag outside any is not a fault
+    assert classify_word_type(make_entry("w", ("zzz",), ("n",))) == "guaranteed"
 
 
 @pytest.mark.parametrize("groups, expected", CANONICAL_CASES, ids=CANONICAL_IDS)

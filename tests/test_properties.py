@@ -37,6 +37,7 @@ from homograph_tagger import cli
 from homograph_tagger.cli import main
 from homograph_tagger.util import pct_of
 from support import (
+    built,
     cache_files,
     identity_partition,
     load_each_way,
@@ -162,9 +163,10 @@ def test_analysis_matches_the_recount_oracle(tmp_path, entries):
     assert report.polysemous_pct == recount["polysemous_pct"]
     assert report.collision_histogram == recount["collision_histogram"]
     # loaded, entries with equal homographs share them, and the analysis counts each
-    # shared tuple once: the same report on every load path
+    # shared tuple once: the same report on every load path, building nothing
     for lexicon in loaded_each_way(tmp_path, entries).values():
         assert analyze_lexicon(lexicon) == report
+        assert built(lexicon) == 0 and "entries" not in vars(lexicon)
 
 
 @given(lexicon_entries())
@@ -178,6 +180,44 @@ def test_analysis_groups_equal_homographs_not_identical_objects(entries):
     report = analyze_lexicon(lexicon)
     assert asdict(report) == oracles.taxonomy_recount(as_records(copies))
     assert report == analyze_lexicon(make_lexicon(*entries))
+
+
+# a vocabulary of 120 tags, so that a code's highest tag fields lie far above its lowest
+WIDE_VOCAB = tuple(f"t{i}" for i in range(120))
+_wide_map = TagMapping(
+    entries={tag.upper(): tag for tag in WIDE_VOCAB}, open_class=frozenset(WIDE_VOCAB)
+)
+
+
+@st.composite
+def long_word_types(draw):
+    """Entries of up to 40 homographs each over a few tags of WIDE_VOCAB, so a tag may have many carriers."""
+    palette = draw(st.lists(st.sampled_from(WIDE_VOCAB), min_size=1, max_size=6, unique=True))
+    words = draw(st.lists(entry_words, min_size=1, max_size=6, unique=True))
+    entries = []
+    for word in words:
+        groups = draw(st.lists(
+            st.frozensets(st.sampled_from(palette), min_size=1, max_size=3), min_size=1, max_size=40
+        ))
+        senses = draw(st.lists(st.integers(1, 3), min_size=len(groups), max_size=len(groups)))
+        entries.append(entry_from_groups(word, groups, senses))
+    return entries
+
+
+@given(long_word_types(), st.data())
+def test_analysis_of_long_word_types_under_a_wide_vocabulary_matches_the_recount_oracle(entries, data):
+    recount = oracles.taxonomy_recount(as_records(entries))
+    lexicon = make_lexicon(*entries, vocabulary=WIDE_VOCAB)
+    assert asdict(analyze_lexicon(lexicon)) == recount
+    assert built(lexicon) == 0 and "entries" not in vars(lexicon)
+    # the same report once a tag run has built some sequences, and once the entries are read
+    reached = data.draw(st.lists(st.sampled_from(entries), max_size=len(entries)))
+    tokens = tuple(tok(entry.key, entry.homographs[-1].pos[0].upper()) for entry in reached)
+    tag_document(lexicon, _wide_map, Document("d", tokens))
+    assert built(lexicon) == len({entry.homographs for entry in reached})
+    assert asdict(analyze_lexicon(lexicon)) == recount
+    assert lexicon.entries == tuple(entries)
+    assert asdict(analyze_lexicon(lexicon)) == recount
 
 
 # ---------------------------------------------------------------------------
